@@ -44,7 +44,6 @@ from .solver import (
     verify_lemma2,
     verify_principle_of_optimality,
 )
-from .cli import main
 
 __version__ = "0.1.0"
 
@@ -79,7 +78,6 @@ __all__ = [
     "greedy_baseline",
     "grouping_identity_residual",
     "instance_dist",
-    "main",
     "marginal_dist",
     "merge_cost",
     "min_entropy",

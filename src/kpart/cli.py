@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from bisect import bisect_left
+from collections import Counter
 
 from .core import (
     Instance,
@@ -55,36 +56,42 @@ def _load_instance(args) -> Instance:
     raise InputError("provide an instance with --list or --file")
 
 
-def _payload(inst, k, objective, part, trace=None) -> dict:
-    rep = evaluate(inst, part)
+def _payload(inst, k, objective, part, rep, trace=None) -> dict:
+    # tuples go to the encoder as they are: it writes them as JSON arrays
     out = {
-        "instance": list(inst.weights),
+        "instance": inst.weights,
         "k": k,
         "objective": objective,
         "partition": part.to_json_dict(),
-        "subset_sums": list(subset_sums(inst, part).sums),
+        "subset_sums": rep.subset_sums,
         "report": rep.to_json_dict(),
     }
     if trace is not None:
-        out["trace"] = {
-            "steps": [list(s) for s in trace.steps],
-            "final_list": list(trace.final_list),
-        }
+        out["trace"] = {"steps": trace.steps, "final_list": trace.final_list}
     return out
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, separators=(",", ":")))
 
 
-def _print_groups(inst, part) -> None:
-    sums = subset_sums(inst, part).sums
-    for lbl, members in enumerate(part.groups()):
-        if len(members) > _GROUP_DISPLAY_CAP:
-            print(f"group {lbl}: {len(members)} elements (sum {sums[lbl]})")
+def _print_groups(inst, part, sums) -> None:
+    """One line per label: member weights, or only their count past the cap."""
+    counts = Counter(part.assignment)
+    shown = {
+        lbl: [] for lbl in range(part.k) if counts[lbl] <= _GROUP_DISPLAY_CAP
+    }
+    if shown:
+        for w, lbl in zip(inst.weights, part.assignment):
+            members = shown.get(lbl)
+            if members is not None:
+                members.append(str(w))
+    for lbl in range(part.k):
+        members = shown.get(lbl)
+        if members is None:
+            print(f"group {lbl}: {counts[lbl]} elements (sum {sums[lbl]})")
         else:
-            ws = " ".join(str(inst.weights[e]) for e in members)
-            print(f"group {lbl}: {ws} (sum {sums[lbl]})")
+            print(f"group {lbl}: {' '.join(members)} (sum {sums[lbl]})")
 
 
 def _print_report(inst, rep) -> None:
@@ -132,13 +139,14 @@ def _cmd_solve(args) -> int:
         raise InputError(
             f"objective {args.objective!r} has no direct solver; add --oracle or --greedy"
         )
-    payload = _payload(inst, k, args.objective, part, trace)
+    # the merge already summed the stopped-Huffman partition's cost
+    rep = evaluate(inst, part, None if trace is None else trace.cost)
     if args.json:
-        _print_json(payload)
+        _print_json(_payload(inst, k, args.objective, part, rep, trace))
         return 0
     print(_instance_header(inst, k, args.objective, method))
-    _print_groups(inst, part)
-    _print_report(inst, evaluate(inst, part))
+    _print_groups(inst, part, rep.subset_sums)
+    _print_report(inst, rep)
     return 0
 
 
@@ -174,14 +182,14 @@ def _render_merge_lists(inst, trace) -> list[str]:
 def _cmd_trace(args) -> int:
     inst = _load_instance(args)
     part, trace = stopped_huffman(inst, args.k)
-    payload = _payload(inst, args.k, "compression", part, trace)
     if args.json:
-        _print_json(payload)
+        rep = evaluate(inst, part, trace.cost)
+        _print_json(_payload(inst, args.k, "compression", part, rep, trace))
         return 0
     for line in _render_merge_lists(inst, trace):
         print(line)
     print("final groups:")
-    _print_groups(inst, part)
+    _print_groups(inst, part, subset_sums(inst, part).sums)
     return 0
 
 
@@ -192,14 +200,15 @@ def _cmd_oracle(args) -> int:
     inst = _load_instance(args)
     res = brute_force(inst, args.k, args.objective)
     part = res.optimal_partitions[0]
-    payload = _payload(inst, args.k, args.objective, part)
-    payload["oracle"] = {
-        "best_value": res.best_value,
-        "optima_count": len(res.optimal_partitions),
-        "partitions_searched": res.partitions_searched,
-        "optimal_assignments": [list(p.assignment) for p in res.optimal_partitions],
-    }
+    rep = evaluate(inst, part)
     if args.json:
+        payload = _payload(inst, args.k, args.objective, part, rep)
+        payload["oracle"] = {
+            "best_value": res.best_value,
+            "optima_count": len(res.optimal_partitions),
+            "partitions_searched": res.partitions_searched,
+            "optimal_assignments": [p.assignment for p in res.optimal_partitions],
+        }
         _print_json(payload)
         return 0
     print(_instance_header(inst, args.k, args.objective, "oracle"))
@@ -207,8 +216,8 @@ def _cmd_oracle(args) -> int:
         f"best value {res.best_value} over {res.partitions_searched} partitions; "
         f"{len(res.optimal_partitions)} optimal"
     )
-    _print_groups(inst, part)
-    _print_report(inst, evaluate(inst, part))
+    _print_groups(inst, part, rep.subset_sums)
+    _print_report(inst, rep)
     shown = res.optimal_partitions[:10]
     print("optimal assignments:")
     for p in shown:

@@ -26,6 +26,12 @@ class SizeLimitError(InputError):
 
 
 _TOKEN = re.compile(r"[+-]?[0-9]+\Z")
+# '#' to the end of the line, where a line ends wherever str.splitlines breaks
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+# in space-joined tokens, the first character no _TOKEN match can contain:
+# anything but a digit or a space, except a sign that opens a token and is
+# followed by a digit
+_BAD_CHAR = re.compile(r"[^0-9 ](?<!(?<![^ ])[+-](?=[0-9]))")
 
 
 # --- types ------------------------------------------------------------
@@ -192,16 +198,14 @@ def parse_instance(text: str) -> Instance:
     A '#' starts a comment running to end of line. Raises InputError on
     empty input, non-integer tokens, or nonpositive values.
     """
-    body = " ".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = body.replace(",", " ").split()
+    tokens = _COMMENT.sub("", text).replace(",", " ").split()
     if not tokens:
         raise InputError("no weights found in input")
-    weights = []
-    for tok in tokens:
-        if _TOKEN.match(tok) is None:
-            raise InputError(f"not a decimal integer: {tok!r}")
-        weights.append(int(tok))
-    return Instance(tuple(weights))
+    if _BAD_CHAR.search(" ".join(tokens)) is not None:
+        for tok in tokens:
+            if _TOKEN.match(tok) is None:
+                raise InputError(f"not a decimal integer: {tok!r}")
+    return Instance(tuple(map(int, tokens)))
 
 
 def subset_sums(inst: Instance, p: Partition) -> SubsetSums:

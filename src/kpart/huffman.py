@@ -10,11 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InputError
+from .core import MAX_ELEMENTS, MAX_WEIGHT, InputError, SizeLimitError
 
-# Strictly larger than any reachable merge sum; used to pad both queues so
-# the hot loop needs no emptiness checks.
+# Strictly larger than any merge sum inside the size envelope (below 2**60);
+# used to pad both queues so the hot loop needs no emptiness checks.
 _SENTINEL = 1 << 62
+
+
+def _check_envelope(count: int, largest: int) -> None:
+    """Reject inputs whose merge sums could reach _SENTINEL."""
+    if count > MAX_ELEMENTS:
+        raise SizeLimitError(f"{count} elements exceed the limit of {MAX_ELEMENTS}")
+    if largest > MAX_WEIGHT:
+        raise SizeLimitError(f"weight {largest} exceeds the limit of {MAX_WEIGHT}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,8 @@ def build_huffman(weights) -> HuffmanCode:
     """Construct an optimal prefix-free code over positive integer weights.
 
     Lengths are reported in input order. Runs in O(n log n): one sort, then
-    a linear merge loop.
+    a linear merge loop. Weights and symbol count are held to the Instance
+    size envelope; SizeLimitError otherwise.
     """
     ws = list(weights)
     n = len(ws)
@@ -43,6 +52,7 @@ def build_huffman(weights) -> HuffmanCode:
         raise InputError("cannot build a code over no symbols")
     if min(ws) < 1:
         raise InputError("symbol weights must be positive")
+    _check_envelope(n, max(ws))
     if n == 1:
         return HuffmanCode((0,), 0, ws[0])
 
@@ -109,11 +119,13 @@ def merge_cost(weights) -> int:
     """Total merge weight of the Huffman construction over these weights.
 
     Equals build_huffman(weights).cost_numerator without building lengths;
-    0 for fewer than two symbols.
+    0 for fewer than two symbols. Accepts the same envelope as build_huffman.
     """
     ws = sorted(weights)
-    if ws and ws[0] < 1:
-        raise InputError(f"weights must be positive, got {ws[0]}")
+    if ws:
+        if ws[0] < 1:
+            raise InputError(f"weights must be positive, got {ws[0]}")
+        _check_envelope(len(ws), ws[-1])
     return _merge_cost_sorted(ws)
 
 

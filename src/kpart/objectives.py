@@ -9,7 +9,7 @@ compression ignore empty groups via the 0 * log 0 = 0 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Dist, InputError, Instance, Partition, subset_sums
 from .entropy import min_entropy, shannon_entropy
@@ -24,7 +24,9 @@ class ObjectiveReport:
 
     product_of_sums is exact regardless of magnitude; product_overflow
     flags when it leaves the signed 64-bit envelope the integer contracts
-    otherwise guarantee.
+    otherwise guarantee. subset_sums, the per-label totals the other values
+    derive from, depends on label names, so it stays out of equality and of
+    to_json_dict: reports compare label-invariantly.
     """
 
     min_diff: int
@@ -36,6 +38,7 @@ class ObjectiveReport:
     product_overflow: bool
     compression_numerator: int
     compression_bits: float
+    subset_sums: tuple[int, ...] = field(compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,8 +76,12 @@ def compression_cost(inst: Instance, p: Partition) -> int:
     return total
 
 
-def evaluate(inst: Instance, p: Partition) -> ObjectiveReport:
-    """Compute every objective for one partition."""
+def evaluate(inst: Instance, p: Partition, cost: int | None = None) -> ObjectiveReport:
+    """Compute every objective for one partition.
+
+    cost, when known, is p's compression numerator and spares regrouping the
+    weights; for a stopped_huffman partition it is the trace's cost.
+    """
     sums = subset_sums(inst, p).sums
     lo = min(sums)
     hi = max(sums)
@@ -82,7 +89,7 @@ def evaluate(inst: Instance, p: Partition) -> ObjectiveReport:
     for q in sums:
         prod *= q
     marg = Dist(sums, inst.total)
-    cnum = compression_cost(inst, p)
+    cnum = compression_cost(inst, p) if cost is None else cost
     return ObjectiveReport(
         min_diff=hi - lo,
         min_max=hi,
@@ -93,4 +100,5 @@ def evaluate(inst: Instance, p: Partition) -> ObjectiveReport:
         product_overflow=prod > INT64_MAX,
         compression_numerator=cnum,
         compression_bits=cnum / inst.total,
+        subset_sums=sums,
     )

@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Instance, InputError, Partition, SizeLimitError
-from .huffman import _merge_cost_sorted
-
-_SENTINEL = 1 << 62
+from .huffman import _SENTINEL, _merge_cost_sorted
 
 OBJECTIVES = (
     "min_diff",
@@ -44,6 +42,8 @@ class MergeTrace:
 
     steps materializes lazily from the engine's node-value array and the
     child-id columns, so capturing a trace adds no per-step cost at large n.
+    cost, the sum of the merged values, is the compression numerator of the
+    run's own partition: compression_cost(inst, part) without regrouping.
     """
 
     __slots__ = ("_vals", "_left", "_right", "final_list")
@@ -59,13 +59,22 @@ class MergeTrace:
         """Ordered (value_a, value_b, merged_value) triple per merge."""
         vals = self._vals
         base = len(vals) - len(self._left)
-        return tuple(
+        # built as a list first: a tuple grown from an iterator is
+        # reallocated as it grows and re-enters the collector's youngest
+        # generation each time, so every young collection rescans it
+        steps = list(
             zip(
                 map(vals.__getitem__, self._left),
                 map(vals.__getitem__, self._right),
                 vals[base:],
             )
         )
+        return tuple(steps)
+
+    @property
+    def cost(self) -> int:
+        """Sum of the merged values: the total merge cost of the run."""
+        return sum(self._vals[len(self._vals) - len(self._left) :])
 
     def __len__(self) -> int:
         return len(self._left)
@@ -186,17 +195,10 @@ def stopped_huffman(inst: Instance, k: int) -> tuple[Partition, MergeTrace]:
             mf = s
         cur += 1
 
-    # canonical labels: order the k surviving nodes by their smallest
-    # original element index, then push labels down the merge forest
-    mn = order + [0] * (merges + 1)
-    idx = n + 1
-    for lft, rgt in zip(left, right):
-        x = mn[lft]
-        y = mn[rgt]
-        mn[idx] = x if x < y else y
-        idx += 1
+    # label the k surviving nodes in any order and push the labels down the
+    # merge forest; then relabel in first-occurrence order, which needs only
+    # the prefix of elements up to the last label's first appearance
     roots = list(range(i, n)) + list(range(j, cur))
-    roots.sort(key=mn.__getitem__)
     lbl = [0] * cur
     for g, r in enumerate(roots):
         lbl[r] = g
@@ -209,7 +211,15 @@ def stopped_huffman(inst: Instance, k: int) -> tuple[Partition, MergeTrace]:
     out = [0] * n
     for e, g in zip(order, lbl):
         out[e] = g
-    part = Partition(tuple(out), k)
+    perm = [-1] * k
+    seen = 0
+    for g in out:
+        if perm[g] < 0:
+            perm[g] = seen
+            seen += 1
+            if seen == k:
+                break
+    part = Partition(tuple(map(perm.__getitem__, out)), k)
     final = tuple(sorted(map(vals.__getitem__, roots)))
     return part, MergeTrace(vals, left, right, final)
 

@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: payload shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kpart
 from kpart import Lemma2Report, Partition, evaluate, parse_instance
 from kpart.cli import main
 
@@ -38,6 +43,82 @@ def test_solve_json_payload(capsys):
     assert payload["report"]["min_diff"] == 2
     assert payload["trace"]["steps"] == [[1, 1, 2], [2, 2, 4], [3, 4, 7], [4, 5, 9]]
     assert payload["trace"]["final_list"] == [7, 9]
+
+
+WORKED_HUMAN = """\
+instance: 1 1 2 3 4 5 (n=6, M=16)
+method: stopped-huffman, k=2, objective=compression
+group 0: 1 1 2 3 (sum 7)
+group 1: 4 5 (sum 9)
+L(X|A) = 22/16 = 1.375
+H(A) = 0.988699 bits, H_inf(A) = 0.830075 bits
+min_diff = 2, min_max = 9, max_min = 7, product_of_sums = 63
+"""
+
+WORKED_PAYLOAD = {
+    "instance": [1, 1, 2, 3, 4, 5],
+    "k": 2,
+    "objective": "compression",
+    "partition": {"k": 2, "assignment": [0, 0, 0, 0, 1, 1]},
+    "subset_sums": [7, 9],
+    "report": {
+        "min_diff": 2,
+        "min_max": 9,
+        "max_min": 7,
+        "entropy_bits": 0.9886994082884977,
+        "min_entropy_bits": 0.8300749985576878,
+        "product_of_sums": 63,
+        "product_overflow": False,
+        "compression_numerator": 22,
+        "compression_bits": 1.375,
+    },
+    "trace": {
+        "steps": [[1, 1, 2], [2, 2, 4], [3, 4, 7], [4, 5, 9]],
+        "final_list": [7, 9],
+    },
+}
+
+
+def test_solve_worked_example_exact_output(capsys):
+    _, human, _ = run(capsys, "solve", "-k", "2", "--list", WORKED)
+    assert human == WORKED_HUMAN
+    _, out, _ = run(capsys, "solve", "-k", "2", "--list", WORKED, "--json")
+    assert json.loads(out) == WORKED_PAYLOAD
+    assert out.count("\n") == 1 and " " not in out  # compact, one line
+    _, traced, _ = run(capsys, "trace", "-k", "2", "--list", WORKED, "--json")
+    assert traced == out
+
+
+def test_group_lines_past_the_display_cap(capsys):
+    # a label over the cap of 40 prints its count; the others keep members
+    capped = "group 0: 41 elements (sum 41)"
+    listed = "group 0: " + "1 " * 40 + "(sum 40)"
+    for ones, line in ((41, capped), (40, listed)):
+        ws = ["1"] * ones + ["1000", "2000"]
+        _, out, _ = run(capsys, "solve", "-k", "3", "--list", " ".join(ws))
+        groups = [ln for ln in out.splitlines() if ln.startswith("group ")]
+        assert groups == [line, "group 1: 1000 (sum 1000)", "group 2: 2000 (sum 2000)"]
+    _, out, _ = run(capsys, "solve", "-k", "4", "--list", "1 2 3", "--greedy")
+    assert "group 3:  (sum 0)" in out.splitlines()
+
+
+def _python(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(kpart.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def test_importing_the_library_leaves_the_cli_unloaded():
+    out = _python("-c", "import sys, kpart; print('kpart.cli' in sys.modules)")
+    assert out.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_without_warnings():
+    argv = ("solve", "-k", "2", "--list", WORKED)
+    out = _python("-W", "error", "-m", "kpart.cli", *argv)
+    assert out.stdout == WORKED_HUMAN
+    assert out.stderr == ""
 
 
 def test_solve_json_is_byte_identical(capsys):

@@ -1,5 +1,7 @@
 """Instance parsing, partitions, subset sums, and distributions."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,60 @@ def test_parse_comments_stripped():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_instance(bad)
+
+
+def test_parse_comments_line_endings_and_separators():
+    assert parse_instance("1 2# note 9\r\n3,4 #x,5\r\n").weights == (1, 2, 3, 4)
+    assert parse_instance("1\r2 # a\r3").weights == (1, 2, 3)
+    assert parse_instance(" 1,\t2 ,, 3\n,4\x0c5 ").weights == (1, 2, 3, 4, 5)
+    assert parse_instance("+7 007").weights == (7, 7)
+
+
+@pytest.mark.parametrize(
+    "text, first_bad",
+    [
+        ("5 1_000 x", "1_000"),
+        ("1e3", "1e3"),
+        ("2 0x10", "0x10"),
+        ("--5", "--5"),
+        ("3 \u0661\u0662", "\u0661\u0662"),  # Arabic-Indic digits, which int() takes
+        ("4 +-1", "+-1"),
+        ("4 1+", "1+"),
+        ("4 + 1", "+"),
+        ("1,2,3.5,x", "3.5"),
+    ],
+)
+def test_parse_names_the_first_bad_token(text, first_bad):
+    with pytest.raises(InputError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == f"not a decimal integer: {first_bad!r}"
+
+
+_ONE_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
+
+
+def _per_token_parse(text):
+    """The line-by-line, token-by-token parser the single-regex one replaced."""
+    body = " ".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = body.replace(",", " ").split()
+    if not tokens:
+        raise InputError("no weights found in input")
+    for tok in tokens:
+        if _ONE_TOKEN.match(tok) is None:
+            raise InputError(f"not a decimal integer: {tok!r}")
+    return Instance(tuple(int(tok) for tok in tokens))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).weights
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.text(alphabet="0123456789+-#, \t\r\n\x0b\x0c\x85xe_.\u0661\u2028\xa0"))
+def test_parse_agrees_with_per_token_scan(text):
+    assert _outcome(parse_instance, text) == _outcome(_per_token_parse, text)
 
 
 def test_parse_rejects_nonpositive():

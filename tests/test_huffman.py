@@ -9,8 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpart import (
+    MAX_ELEMENTS,
+    MAX_WEIGHT,
     Dist,
     InputError,
+    SizeLimitError,
     build_huffman,
     expected_length_bits,
     merge_cost,
@@ -55,6 +58,19 @@ def test_rejects_bad_weights():
         build_huffman([1, 0, 2])
     with pytest.raises(InputError):
         merge_cost([-1])
+
+
+def test_rejects_weights_beyond_the_envelope():
+    # sums past the 2**62 queue sentinel once raised a bare IndexError
+    for entry in (build_huffman, merge_cost):
+        with pytest.raises(SizeLimitError):
+            entry([2**63, 2**63, 1])
+        with pytest.raises(SizeLimitError):
+            entry([MAX_WEIGHT + 1, 1])
+        with pytest.raises(SizeLimitError):
+            entry([1] * (MAX_ELEMENTS + 1))
+    top = [MAX_WEIGHT, MAX_WEIGHT, 1]
+    assert build_huffman(top).cost_numerator == merge_cost(top) == 3 * MAX_WEIGHT + 2
 
 
 @given(weights_st)

@@ -1,11 +1,14 @@
 """Stopped Huffman solver, brute-force oracles, and property checkers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpart import (
     MAX_ORACLE_K,
+    MAX_WEIGHT,
     MAX_ORACLE_N,
     OBJECTIVES,
     InputError,
@@ -27,6 +30,14 @@ from kpart import (
 
 small_instances = st.lists(st.integers(1, 50), min_size=1, max_size=12).map(
     lambda ws: Instance(tuple(ws))
+)
+
+# weights across the whole envelope: uniform ones, powers of two (whose sums
+# tie with other leaves and merged nodes), and a few small repeated values
+envelope_weights = st.one_of(
+    st.integers(1, MAX_WEIGHT),
+    st.integers(0, 40).map(lambda e: 1 << e),
+    st.sampled_from((1, 1, 2, 3)),
 )
 
 
@@ -105,6 +116,33 @@ def test_final_list_matches_partition_sums(inst, k):
 def test_merge_totals_equal_compression_cost(inst, k):
     part, trace = stopped_huffman(inst, k)
     assert compression_cost(inst, part) == sum(vm for _, _, vm in trace.steps)
+
+
+def _check_fast_paths(inst, k):
+    part, trace = stopped_huffman(inst, k)
+    assert part.canonical() is part
+    assert trace.cost == compression_cost(inst, part)
+    assert evaluate(inst, part, trace.cost) == evaluate(inst, part)
+    assert evaluate(inst, part, trace.cost).subset_sums == subset_sums(inst, part).sums
+
+
+@given(st.lists(envelope_weights, min_size=1, max_size=60), st.data())
+def test_fast_paths_keep_reference_semantics(ws, data):
+    inst = Instance(tuple(ws))
+    _check_fast_paths(inst, data.draw(st.integers(1, len(ws) + 3)))
+
+
+def test_fast_paths_keep_reference_semantics_seeded():
+    rng = random.Random("solver:fast-paths")
+    for _ in range(300):
+        n = rng.randint(1, 200)
+        top = 1 << rng.randint(0, 40)
+        pool = [rng.randint(1, top) for _ in range(rng.randint(1, 8))]
+        ws = [
+            rng.choice(pool) if rng.random() < 0.5 else rng.randint(1, top)
+            for _ in range(n)
+        ]
+        _check_fast_paths(Instance(tuple(ws)), rng.randint(1, n + 3))
 
 
 @settings(max_examples=60)
