@@ -340,6 +340,8 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     trials = args.trials
     max_n = args.max_n
+    if trials is not None and trials < 1:
+        raise InputError("--trials must be at least 1")
     if max_n is not None and max_n < 3:
         raise InputError("--max-n must be at least 3")
     if args.list is not None or args.file is not None:

@@ -53,21 +53,7 @@ class Instance:
         object.__setattr__(self, "weights", ws)
         if not ws:
             raise InputError("an instance needs at least one weight")
-        if len(ws) > MAX_ELEMENTS:
-            raise SizeLimitError(
-                f"{len(ws)} elements exceed the limit of {MAX_ELEMENTS}"
-            )
-        try:
-            total = sum(ws)
-        except TypeError:
-            raise InputError("weights must be integers") from None
-        if not isinstance(total, int):
-            raise InputError("weights must be integers")
-        if min(ws) < 1:
-            raise InputError(f"weights must be positive, got {min(ws)}")
-        if max(ws) > MAX_WEIGHT:
-            raise SizeLimitError(f"weight {max(ws)} exceeds the limit of {MAX_WEIGHT}")
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", _check_weights(ws))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -192,6 +178,33 @@ class SubsetSums:
 # --- operations -------------------------------------------------------
 
 
+def _check_weights(ws) -> int:
+    """Total of ws, held to the Instance rules; an empty list passes as 0."""
+    if len(ws) > MAX_ELEMENTS:
+        raise SizeLimitError(f"{len(ws)} elements exceed the limit of {MAX_ELEMENTS}")
+    try:
+        total = sum(ws)
+    except TypeError:
+        raise InputError("weights must be integers") from None
+    if not isinstance(total, int):
+        raise InputError("weights must be integers")
+    if ws:
+        if min(ws) < 1:
+            raise InputError(f"weights must be positive, got {min(ws)}")
+        if max(ws) > MAX_WEIGHT:
+            raise SizeLimitError(f"weight {max(ws)} exceeds the limit of {MAX_WEIGHT}")
+    return total
+
+
+def _check_covers(inst: Instance, p: Partition) -> None:
+    """Reject a partition whose assignment length differs from the instance's."""
+    if len(p.assignment) != len(inst.weights):
+        raise InputError(
+            f"partition covers {len(p.assignment)} elements, "
+            f"instance has {len(inst.weights)}"
+        )
+
+
 def parse_instance(text: str) -> Instance:
     """Parse whitespace- or comma-separated decimal weights.
 
@@ -210,11 +223,7 @@ def parse_instance(text: str) -> Instance:
 
 def subset_sums(inst: Instance, p: Partition) -> SubsetSums:
     """Per-label weight totals; empty labels yield 0."""
-    if len(p.assignment) != len(inst.weights):
-        raise InputError(
-            f"partition covers {len(p.assignment)} elements, "
-            f"instance has {len(inst.weights)}"
-        )
+    _check_covers(inst, p)
     sums = [0] * p.k
     for w, a in zip(inst.weights, p.assignment):
         sums[a] += w
@@ -232,11 +241,7 @@ def conditional_dist(inst: Instance, p: Partition, label: int) -> Dist:
     Numerators are the member weights over the group sum; members carries
     the element indices. Raises InputError for an empty group.
     """
-    if len(p.assignment) != len(inst.weights):
-        raise InputError(
-            f"partition covers {len(p.assignment)} elements, "
-            f"instance has {len(inst.weights)}"
-        )
+    _check_covers(inst, p)
     if not 0 <= label < p.k:
         raise InputError(f"label {label} outside [0, {p.k})")
     members = tuple(e for e, a in enumerate(p.assignment) if a == label)

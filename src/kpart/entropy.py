@@ -15,9 +15,13 @@ def shannon_entropy(d: Dist) -> Bits:
     Zero numerators contribute nothing (0 * log 0 = 0). The weighted sum is
     accumulated with math.fsum, so the result does not depend on entry order.
     """
-    dd = d.denominator
-    acc = math.fsum(n * math.log2(n) for n in d.numerators if n)
-    h = math.log2(dd) - acc / dd
+    return _entropy_bits(d.numerators, d.denominator)
+
+
+def _entropy_bits(nums, total: int) -> Bits:
+    """shannon_entropy over unchecked numerators summing to a positive total."""
+    acc = math.fsum(n * math.log2(n) for n in nums if n)
+    h = math.log2(total) - acc / total
     return h if h > 0.0 else 0.0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Dist, InputError, Instance, Partition, subset_sums
+from .core import Dist, Instance, Partition, _check_covers, subset_sums
 from .entropy import min_entropy, shannon_entropy
 from .huffman import _merge_cost_sorted
 
@@ -60,11 +60,7 @@ def compression_cost(inst: Instance, p: Partition) -> int:
     Each nonempty group contributes the merge cost of an optimal prefix-free
     code over its member weights; singleton groups need no bits.
     """
-    if len(p.assignment) != len(inst.weights):
-        raise InputError(
-            f"partition covers {len(p.assignment)} elements, "
-            f"instance has {len(inst.weights)}"
-        )
+    _check_covers(inst, p)
     buckets: list[list[int]] = [[] for _ in range(p.k)]
     for w, a in zip(inst.weights, p.assignment):
         buckets[a].append(w)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import ne
 
-from .core import Instance, InputError, Partition, SizeLimitError
-from .huffman import _SENTINEL, _merge_cost_sorted
+from .core import Instance, InputError, Partition, SizeLimitError, _check_covers
+from .entropy import _entropy_bits
+from .huffman import _merge, _merge_cost_sorted
 
 OBJECTIVES = (
     "min_diff",
@@ -171,46 +172,9 @@ def stopped_huffman(inst: Instance, k: int) -> tuple[Partition, MergeTrace]:
             MergeTrace([], [], [], tuple(sorted(ws))),
         )
 
-    merges = n - k
-    # node ids: 0..n-1 sorted leaves, n the sentinel, n+1.. the merged nodes
     vals = sorted(ws)
-    vals.append(_SENTINEL)
-    vals.extend([_SENTINEL] * merges)
-    left = [0] * merges
-    right = [0] * merges
-    i = 0
-    j = n + 1
-    cur = n + 1
-    lf = vals[0]
-    mf = _SENTINEL
-    for t in range(merges):
-        if mf <= lf:
-            a = j
-            va = mf
-            j += 1
-            mf = vals[j]
-        else:
-            a = i
-            va = lf
-            i += 1
-            lf = vals[i]
-        if mf <= lf:
-            b = j
-            vb = mf
-            j += 1
-            mf = vals[j]
-        else:
-            b = i
-            vb = lf
-            i += 1
-            lf = vals[i]
-        s = va + vb
-        vals[cur] = s
-        left[t] = a
-        right[t] = b
-        if j == cur:
-            mf = s
-        cur += 1
+    left, right, i, j = _merge(vals, k)
+    cur = len(vals)
 
     # label the k surviving nodes in any order and push the labels down the
     # merge forest, so lbl[p] labels the leaf at sorted position p
@@ -325,28 +289,12 @@ def _guard_oracle(n: int, k: int) -> None:
         raise SizeLimitError(f"oracle handles at most k={MAX_ORACLE_K}, got {k}")
 
 
-def _entropy_of_sums(sums, total: int) -> float:
-    """Shannon entropy in bits of a subset-sum vector over the total."""
-    acc = math.fsum(q * math.log2(q) for q in sums if q)
-    h = math.log2(total) - acc / total
-    return h if h > 0.0 else 0.0
-
-
 def _to_original_partition(a, order, k: int) -> Partition:
     """Map an assignment over sorted positions back to canonical original labels."""
-    n = len(a)
-    orig = [0] * n
+    orig = [0] * len(a)
     for p, e in enumerate(order):
         orig[e] = a[p]
-    remap: dict[int, int] = {}
-    out = [0] * n
-    for e in range(n):
-        g = remap.get(orig[e])
-        if g is None:
-            g = len(remap)
-            remap[orig[e]] = g
-        out[e] = g
-    return Partition(tuple(out), k)
+    return Partition(tuple(orig), k).canonical()
 
 
 def _int_sweep(w, k: int, objective: str):
@@ -499,8 +447,6 @@ def verify_lemma2(inst: Instance, k: int) -> Lemma2Report:
     smallest weights share a group. Requires n > k.
     """
     n = len(inst.weights)
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
     if n <= k:
         raise InputError(f"requires n > k, got n={n} and k={k}")
     _guard_oracle(n, k)
@@ -536,11 +482,7 @@ def conditional_subinstance(
     label set capturing every element or none is a degenerate split and is
     rejected.
     """
-    if len(p.assignment) != len(inst.weights):
-        raise InputError(
-            f"partition covers {len(p.assignment)} elements, "
-            f"instance has {len(inst.weights)}"
-        )
+    _check_covers(inst, p)
     lset = set(labels)
     if not lset or not lset.issubset(range(p.k)):
         raise InputError("labels must be a nonempty subset of range(k)")
@@ -599,7 +541,7 @@ def verify_principle_of_optimality(
                         sums[a] += inst.weights[e]
                     for e, a in zip(elems2, g2.assignment):
                         sums[k1 + a] += inst.weights[e]
-                    h = _entropy_of_sums(sums, total)
+                    h = _entropy_bits(sums, total)
                     dev = abs(h - best)
                     if dev > max_dev:
                         max_dev = dev

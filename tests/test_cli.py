@@ -306,6 +306,16 @@ def test_verify_rejects_tiny_max_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("mode", [(), ("--list", WORKED)])
+def test_verify_rejects_trials_below_one(capsys, trials, mode):
+    # 0 once fell back to the full default suites, and -3 reported -3 checks
+    code, out, err = run(capsys, "verify", "--trials", trials, "--json", *mode)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trials must be at least 1\n"
+
+
 def test_bench_rows_and_ratios(capsys):
     code, out, _ = run(capsys, "bench", "--max-n", "4096", "--json")
     assert code == 0

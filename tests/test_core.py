@@ -14,7 +14,10 @@ from kpart import (
     Instance,
     Partition,
     SizeLimitError,
+    compression_cost,
     conditional_dist,
+    conditional_subinstance,
+    evaluate,
     instance_dist,
     marginal_dist,
     parse_instance,
@@ -206,6 +209,32 @@ def test_subset_sums_keeps_empty_slots():
 def test_subset_sums_length_mismatch():
     with pytest.raises(InputError):
         subset_sums(Instance((1, 2)), Partition((0,), 1))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        subset_sums,
+        lambda inst, p: conditional_dist(inst, p, 0),
+        compression_cost,
+        evaluate,
+        lambda inst, p: conditional_subinstance(inst, p, [0]),
+    ],
+    ids=[
+        "subset_sums",
+        "conditional_dist",
+        "compression_cost",
+        "evaluate",
+        "conditional_subinstance",
+    ],
+)
+@pytest.mark.parametrize("covered", [1, 3])
+def test_every_entry_point_rejects_a_length_mismatch(entry, covered):
+    inst = Instance((1, 2))
+    p = Partition(tuple(range(covered)), 3)
+    with pytest.raises(InputError) as exc:
+        entry(inst, p)
+    assert str(exc.value) == f"partition covers {covered} elements, instance has 2"
 
 
 @given(weights_st, st.integers(1, 5), st.data())

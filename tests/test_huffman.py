@@ -13,6 +13,7 @@ from kpart import (
     MAX_WEIGHT,
     Dist,
     InputError,
+    Instance,
     SizeLimitError,
     build_huffman,
     expected_length_bits,
@@ -48,6 +49,7 @@ def test_merge_cost_agrees_with_tree():
     assert merge_cost([1, 1, 2, 3, 4, 5]) == 38
     assert merge_cost([5, 4, 3, 2, 1, 1]) == 38
     assert merge_cost([7]) == 0
+    assert merge_cost([]) == 0
     assert merge_cost([3, 3]) == 6
 
 
@@ -58,6 +60,21 @@ def test_rejects_bad_weights():
         build_huffman([1, 0, 2])
     with pytest.raises(InputError):
         merge_cost([-1])
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [[1.5, 2.5], [1.5, 2, 3], ["a", "b"], [1, 0, 2], [3, -1], [MAX_WEIGHT + 1, 1]],
+)
+def test_weights_follow_the_instance_rules(ws):
+    # floats once returned a float cost, and strings a bare TypeError
+    with pytest.raises(InputError) as want:
+        Instance(tuple(ws))
+    for entry in (build_huffman, merge_cost):
+        with pytest.raises(InputError) as got:
+            entry(ws)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_rejects_weights_beyond_the_envelope():
@@ -171,3 +188,42 @@ def test_cost_is_independent_of_tie_resolution():
         ws = [rng.choice((1, 1, 2, 2, 3)) for _ in range(n)]
         want = build_huffman(ws).cost_numerator
         assert _reference_cost_with_random_ties(ws, rng) == want
+
+
+def _heap_lengths(ws):
+    """Code lengths from a heap keyed (value, merged-before-leaf, creation order).
+
+    Leaves are created in input order, merged nodes in merge order; so an
+    equal-valued merged node is taken before a leaf, and equal leaves in
+    input order.
+    """
+    n = len(ws)
+    heap = [(w, 1, e, e) for e, w in enumerate(ws)]
+    heapq.heapify(heap)
+    parent = {}
+    for t in range(n - 1):
+        va, _, _, a = heapq.heappop(heap)
+        vb, _, _, b = heapq.heappop(heap)
+        parent[a] = parent[b] = n + t
+        heapq.heappush(heap, (va + vb, 0, t, n + t))
+    lengths = []
+    for e in range(n):
+        node = e
+        depth = 0
+        while node in parent:
+            node = parent[node]
+            depth += 1
+        lengths.append(depth)
+    return tuple(lengths)
+
+
+def test_lengths_match_the_heap_model_on_ties():
+    # the merged 2 goes before the leaf 2; were leaves to win ties, the
+    # two leaf 2s would pair up and give (2, 2, 2, 2)
+    ws = [1, 1, 2, 2]
+    assert build_huffman(ws).lengths == _heap_lengths(ws) == (3, 3, 2, 1)
+    rng = random.Random("huffman:tie-lengths")
+    for _ in range(1500):
+        pool = [rng.choice((1, 2, 3, 5, MAX_WEIGHT)) for _ in range(rng.randint(1, 3))]
+        ws = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+        assert build_huffman(ws).lengths == _heap_lengths(ws), ws
