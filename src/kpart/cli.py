@@ -470,7 +470,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--json", action="store_true", help="emit one JSON object")
     pv.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
     pv.add_argument(
-        "--trials", type=int, default=None, help="instances per suite (default: full)"
+        "--trials",
+        type=int,
+        default=None,
+        help="instances per suite (default: full); with --list or --file, "
+        "the most theorem1 recombinations to check (default: all)",
     )
     pv.add_argument(
         "--max-n", type=int, default=None, help="largest instance size per suite"

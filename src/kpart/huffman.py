@@ -8,11 +8,12 @@ against equal-valued leaves.
 
 _merge is the one engine for that loop. build_huffman runs it to a single
 root; solver.stopped_huffman runs it until k values remain. The cost-only
-fold _merge_cost_sorted stays separate: the exhaustive oracle scores
-millions of groups of 2-13 weights, and on those the engine's sentinel
-padding and child columns cost 1.0-2.5x the fold's time per call (most for
-the smallest groups), while a heapq fold is 2.2-4.7x slower than it at 4k
-to 64k weights (2 CPUs, Python 3.11).
+fold _merge_cost_sorted stays separate: the exhaustive oracle's table fill
+calls it once per subset of up to 14 weights, 16,384 groups at the
+envelope, where the engine's sentinel padding and child columns cost
+1.0-2.5x the fold's time per call (most for the smallest groups), while a
+heapq fold is 2.2-4.7x slower than it at 4k to 64k weights (2 CPUs,
+Python 3.11).
 """
 
 from __future__ import annotations

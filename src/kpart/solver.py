@@ -5,6 +5,13 @@ merge loop until k values remain and read the partition off the merge
 forest. brute_force exhaustively optimizes any objective on small instances
 and backs the verification harnesses for the co-grouping lemma and the
 recombination principle.
+
+The oracles share one subset-mask sweep. Over the weights sorted
+ascending, one table holds the objective's term for every subset of the
+elements (subset sum, q * log2(q) of it, or Huffman merge cost), filled in
+O(2**n). Each partition into <= k blocks is then k block masks, and
+scoring it takes O(1) lookups in that table instead of regrouping n
+elements.
 """
 
 from __future__ import annotations
@@ -251,35 +258,6 @@ def _runs_in_input_order(ws, vals, starts) -> list[int]:
 # --- exhaustive oracle -------------------------------------------------
 
 
-def _assignments_up_to_k(n: int, k: int):
-    """Yield every restricted growth string over n elements with <= k blocks.
-
-    The yielded list is reused between iterations; callers copy what they
-    keep. Each set partition appears exactly once.
-    """
-    a = [0] * n
-    m = [0] * n  # m[i] = max(a[:i+1])
-    top_cap = k - 1
-    yield a
-    while True:
-        i = n - 1
-        while i > 0:
-            top = m[i - 1] + 1
-            if top > top_cap:
-                top = top_cap
-            if a[i] < top:
-                break
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        m[i] = a[i] if a[i] > m[i - 1] else m[i - 1]
-        for p in range(i + 1, n):
-            a[p] = 0
-            m[p] = m[i]
-        yield a
-
-
 def _guard_oracle(n: int, k: int) -> None:
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
@@ -289,104 +267,262 @@ def _guard_oracle(n: int, k: int) -> None:
         raise SizeLimitError(f"oracle handles at most k={MAX_ORACLE_K}, got {k}")
 
 
-def _to_original_partition(a, order, k: int) -> Partition:
-    """Map an assignment over sorted positions back to canonical original labels."""
-    orig = [0] * len(a)
-    for p, e in enumerate(order):
-        orig[e] = a[p]
-    return Partition(tuple(orig), k).canonical()
+def _slot_table(w, k: int, objective: str) -> list | None:
+    """Per-block term of the objective, indexed by subset mask.
 
-
-def _int_sweep(w, k: int, objective: str):
-    """Exhaustive sweep for the exact integer objectives.
-
-    w is ascending, so each bucket fills in ascending order and feeds the
-    merge-cost fast path directly. Returns (best, rgs copies, searched).
+    Bit p of a mask stands for sorted position p of the ascending weights w.
+    Compression reads the merge cost of the members, entropy q * log2(q) of
+    the subset sum q (0.0 for the empty block), every other objective the
+    subset sum. Each half of a table fills from the half below its top bit,
+    so members come out ascending: O(2**n) entries. At k = 1 the sweep
+    needs no table, and None is returned.
     """
-    n = len(w)
-    minimize = objective in ("min_diff", "min_max", "compression")
-    compression = objective == "compression"
-    best = None
-    picks: list[list[int]] = []
-    searched = 0
-    for a in _assignments_up_to_k(n, k):
-        searched += 1
-        if compression:
-            blocks = max(a) + 1
-            buckets: list[list[int]] = [[] for _ in range(blocks)]
-            for e in range(n):
-                buckets[a[e]].append(w[e])
-            val = 0
-            for b in buckets:
-                if len(b) > 1:
-                    val += _merge_cost_sorted(b)
-        else:
-            sums = [0] * k
-            for e in range(n):
-                sums[a[e]] += w[e]
-            if objective == "min_diff":
-                val = max(sums) - min(sums)
-            elif objective == "min_max":
-                val = max(sums)
-            elif objective == "max_min":
-                val = min(sums)
-            else:  # product_of_sums
-                val = 1
-                for q in sums:
-                    val *= q
-        if best is None or (val < best if minimize else val > best):
-            best = val
-            picks = [a.copy()]
-        elif val == best:
-            picks.append(a.copy())
-    return best, picks, searched
+    if k == 1:
+        return None
+    if objective == "compression":
+        members: list[list[int]] = [[]]
+        for x in w:
+            members += [g + [x] for g in members]
+        return list(map(_merge_cost_sorted, members))
+    sums = [0]
+    for x in w:
+        sums += [q + x for q in sums]
+    if objective == "entropy":
+        log2 = math.log2
+        return [q * log2(q) if q else 0.0 for q in sums]
+    return sums
 
 
-def _entropy_sweep(w, k: int, total: int):
-    """Exhaustive entropy sweep with exact subset-sum multiset tie-grouping.
+# Innermost levels of the sweep, one per objective. Each walks the submasks
+# s of r2, the remainder past its lowest element low, and scores the
+# partition whose last two blocks are low | s and r2 ^ s; pre holds the
+# blocks before them and agg their terms, folded as _SWEEPS says. Ties
+# with the best go to picks, which is cleared when the best improves.
 
-    Entropy depends only on the multiset of nonzero subset sums, so values
-    are cached per multiset and candidates within 1e-9 of the running best
-    are kept, then filtered against the final best.
-    """
-    n = len(w)
-    log2 = math.log2
-    cache: dict[tuple[int, ...], list] = {}
-    best = -1.0
-    searched = 0
-    for a in _assignments_up_to_k(n, k):
-        searched += 1
-        sums = [0] * k
-        for e in range(n):
-            sums[a[e]] += w[e]
-        key = tuple(sorted(q for q in sums if q))
-        entry = cache.get(key)
-        if entry is None:
-            acc = math.fsum(q * log2(q) for q in key)
-            h = log2(total) - acc / total
+
+def _last_two_compression(t, total, low, r2, pre, agg, best, picks):
+    s = r2
+    while True:
+        a = low | s
+        b = r2 ^ s
+        v = agg + t[a] + t[b]
+        if v <= best:
+            if v < best:
+                best = v
+                picks.clear()
+            picks.append(pre + (a, b))
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_two_min_max(t, total, low, r2, pre, agg, best, picks):
+    s = r2
+    while True:
+        a = low | s
+        b = r2 ^ s
+        v = t[a]
+        y = t[b]
+        if y > v:
+            v = y
+        if agg > v:
+            v = agg
+        if v <= best:
+            if v < best:
+                best = v
+                picks.clear()
+            picks.append(pre + (a, b))
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_two_max_min(t, total, low, r2, pre, agg, best, picks):
+    s = r2
+    while True:
+        a = low | s
+        b = r2 ^ s
+        v = t[a]
+        y = t[b]
+        if y < v:
+            v = y
+        if agg < v:
+            v = agg
+        if v >= best:
+            if v > best:
+                best = v
+                picks.clear()
+            picks.append(pre + (a, b))
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_two_min_diff(t, total, low, r2, pre, agg, best, picks):
+    hi0, lo0 = agg
+    s = r2
+    while True:
+        a = low | s
+        b = r2 ^ s
+        hi = t[a]
+        lo = t[b]
+        if lo > hi:
+            hi, lo = lo, hi
+        if hi0 > hi:
+            hi = hi0
+        if lo0 < lo:
+            lo = lo0
+        v = hi - lo
+        if v <= best:
+            if v < best:
+                best = v
+                picks.clear()
+            picks.append(pre + (a, b))
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_two_product(t, total, low, r2, pre, agg, best, picks):
+    s = r2
+    while True:
+        a = low | s
+        b = r2 ^ s
+        v = agg * t[a] * t[b]
+        if v >= best:
+            if v > best:
+                best = v
+                picks.clear()
+            picks.append(pre + (a, b))
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
+    # picks holds (h, blocks) while h lies in the band below the running
+    # best; a rise of the best prunes it to the new band. h comes from the
+    # correctly rounded fsum only where the plain sum of the nonnegative
+    # terms, within a few ulps of it, is under cut: the 1e-12 slack on h is
+    # far above that error, so no partition the band would keep is skipped
+    fsum = math.fsum
+    top = math.log2(total)
+    floor = best - _ENTROPY_TOL
+    cut = (top - floor + 1e-12) * total
+    base = sum(agg)
+    s = r2
+    while True:
+        a = low | s
+        b = r2 ^ s
+        if base + t[a] + t[b] <= cut:
+            h = top - fsum((*agg, t[a], t[b])) / total
             if h < 0.0:
                 h = 0.0
-            entry = [h, []]
-            cache[key] = entry
-            if h > best:
-                best = h
-        if entry[0] >= best - _ENTROPY_TOL:
-            entry[1].append(a.copy())
-    picks: list[list[int]] = []
-    for h, stored in cache.values():
-        if h >= best - _ENTROPY_TOL:
-            picks.extend(stored)
+            if h >= floor:
+                if h > best:
+                    best = h
+                    floor = h - _ENTROPY_TOL
+                    cut = (top - floor + 1e-12) * total
+                    picks[:] = [e for e in picks if e[0] >= floor]
+                picks.append((h, pre + (a, b)))
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+# objective -> (innermost level, fold of one more block's term into agg,
+# agg before any block, a value every partition beats or ties)
+_SWEEPS = {
+    "compression": (_last_two_compression, int.__add__, 0, math.inf),
+    "min_max": (_last_two_min_max, max, 0, math.inf),
+    "max_min": (_last_two_max_min, min, math.inf, -1),
+    "min_diff": (
+        _last_two_min_diff,
+        lambda agg, q: (max(agg[0], q), min(agg[1], q)),
+        (0, math.inf),
+        math.inf,
+    ),
+    "product_of_sums": (_last_two_product, int.__mul__, 1, -1),
+    "entropy": (_last_two_entropy, lambda agg, f: (*agg, f), (), -1.0),
+}
+
+
+def _sweep(t, w, k: int, objective: str, joined: int = 0):
+    """Score every partition of the sorted positions into <= k blocks.
+
+    t is the objective's _slot_table over the ascending weights w. A
+    partition is k block masks: block j holds the lowest position no
+    earlier block holds, plus any subset of the positions left, and unused
+    slots are mask 0. So each set partition appears exactly once, and an
+    unused slot adds the zero sum objectives.py counts for it. joined, a
+    mask of positions, keeps only the partitions whose first block holds
+    them too.
+
+    O(1) table lookups per partition. Returns (best, picks, searched), with
+    picks the block-mask tuples of every optimum. For entropy, the kept
+    candidates are pruned to the band below the best each time it rises,
+    so the last prune settles them against the final best.
+    """
+    last_two, fold, agg0, best = _SWEEPS[objective]
+    full = (1 << len(w)) - 1
+    total = sum(w)
+    if k == 1:
+        # one partition, every position in one block
+        if objective == "compression":
+            best = _merge_cost_sorted(w)
+        elif objective == "entropy":
+            best = _entropy_bits((total,), total)
+        elif objective == "min_diff":
+            best = 0
+        else:
+            best = total
+        return best, [(full,)], 1
+    picks: list = []
+    searched = 0
+
+    def place(rem, slots, pre, agg, must):
+        nonlocal best, searched
+        low = (rem & -rem) | must
+        r2 = rem ^ low
+        if slots == 2:
+            searched += 1 << r2.bit_count()
+            best = last_two(t, total, low, r2, pre, agg, best, picks)
+            return
+        s = r2
+        while True:
+            b = low | s
+            place(r2 ^ s, slots - 1, pre + (b,), fold(agg, t[b]), 0)
+            if not s:
+                return
+            s = (s - 1) & r2
+
+    place(full, k, (), agg0, joined)
+    if objective == "entropy":
+        picks = [blocks for _, blocks in picks]
     return best, picks, searched
+
+
+def _to_original_partition(blocks, order, k: int) -> Partition:
+    """Map block masks over sorted positions to a canonical Partition of the input."""
+    orig = [0] * len(order)  # block 0's label already
+    for label, m in enumerate(blocks[1:], 1):
+        while m:
+            low = m & -m
+            orig[order[low.bit_length() - 1]] = label
+            m ^= low
+    perm = _first_occurrence(orig, k)
+    return Partition(tuple(map(perm.__getitem__, orig)), k)
 
 
 def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     """Exhaustively optimize one objective over all partitions into <= k blocks.
 
-    Enumerates restricted growth strings over the elements sorted by weight
-    and returns every optimum. Exact integer objectives compare exactly;
-    entropy uses a 1e-9 band with exact subset-sum multiset tie-grouping,
-    and min_entropy reduces exactly to minimizing the largest subset sum.
-    Guarded to n <= 14 and k <= 6.
+    Sorts the elements by weight, fills one table of per-block terms over
+    all 2**n subsets (O(2**n) work, skipped at k = 1), then scores every
+    partition with O(1) lookups in it and returns every optimum. Exact
+    integer objectives compare exactly; entropy keeps every partition within
+    1e-9 of the best, and min_entropy reduces exactly to minimizing the
+    largest subset sum. Guarded to n <= 14 and k <= 6.
     """
     if objective not in OBJECTIVES:
         raise InputError(
@@ -396,19 +532,14 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     _guard_oracle(n, k)
     order = sorted(range(n), key=inst.weights.__getitem__)
     w = [inst.weights[e] for e in order]
-
-    if objective == "entropy":
-        best, picks, searched = _entropy_sweep(w, k, inst.total)
-    elif objective == "min_entropy":
-        best_mq, picks, searched = _int_sweep(w, k, "min_max")
-        best = math.log2(inst.total) - math.log2(best_mq)
+    swept = "min_max" if objective == "min_entropy" else objective
+    best, picks, searched = _sweep(_slot_table(w, k, swept), w, k, swept)
+    if objective == "min_entropy":
+        best = math.log2(inst.total) - math.log2(best)
         if best < 0.0:
             best = 0.0
-    else:
-        best, picks, searched = _int_sweep(w, k, objective)
-
     parts = sorted(
-        (_to_original_partition(a, order, k) for a in picks),
+        (_to_original_partition(blocks, order, k) for blocks in picks),
         key=lambda p: p.assignment,
     )
     return OracleResult(objective, best, tuple(parts), searched)
@@ -442,34 +573,20 @@ def greedy_baseline(inst: Instance, k: int) -> Partition:
 def verify_lemma2(inst: Instance, k: int) -> Lemma2Report:
     """Check that co-grouping the two smallest weights cannot hurt compression.
 
-    Sweeps every partition into at most k blocks, tracking the minimum
-    integer compression cost overall and restricted to candidates whose two
-    smallest weights share a group. Requires n > k.
+    Fills the compression table once, O(2**n), then sweeps every partition
+    into at most k blocks for the minimum integer compression cost, and
+    again over the partitions whose first block holds sorted positions 0
+    and 1, the two smallest weights, each with O(1) lookups per partition.
+    partitions_searched counts the first sweep. Requires n > k.
     """
     n = len(inst.weights)
     if n <= k:
         raise InputError(f"requires n > k, got n={n} and k={k}")
     _guard_oracle(n, k)
-    order = sorted(range(n), key=inst.weights.__getitem__)
-    w = [inst.weights[e] for e in order]
-    # sorted positions 0 and 1 hold the two smallest weights
-    un_min = None
-    con_min = None
-    searched = 0
-    for a in _assignments_up_to_k(n, k):
-        searched += 1
-        blocks = max(a) + 1
-        buckets: list[list[int]] = [[] for _ in range(blocks)]
-        for e in range(n):
-            buckets[a[e]].append(w[e])
-        cost = 0
-        for b in buckets:
-            if len(b) > 1:
-                cost += _merge_cost_sorted(b)
-        if un_min is None or cost < un_min:
-            un_min = cost
-        if a[1] == a[0] and (con_min is None or cost < con_min):
-            con_min = cost
+    w = sorted(inst.weights)
+    t = _slot_table(w, k, "compression")
+    un_min, _, searched = _sweep(t, w, k, "compression")
+    con_min, _, _ = _sweep(t, w, k, "compression", joined=0b10)
     return Lemma2Report(un_min, con_min, searched)
 
 

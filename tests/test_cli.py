@@ -316,6 +316,26 @@ def test_verify_rejects_trials_below_one(capsys, trials, mode):
     assert err == "error: --trials must be at least 1\n"
 
 
+@pytest.mark.parametrize("trials, checks", [("1", 1), ("1000", 56)])
+def test_verify_trials_caps_recombinations_for_one_instance(capsys, trials, checks):
+    # in sweep mode --trials counts instances per suite; for one instance it
+    # caps theorem1's recombinations, of which this instance has 56
+    args = ("verify", "-k", "3", "--list", "1,1,2,3,4,5,6", "--trials", trials)
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    suites = {s["name"]: s for s in json.loads(out)["suites"]}
+    assert suites["theorem1"]["checks"] == checks
+    assert suites["lemma2"]["checks"] == 1
+
+
+def test_verify_help_states_both_meanings_of_trials(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "instances per suite (default: full)" in help_text
+    assert "with --list or --file, the most theorem1 recombinations" in help_text
+
+
 def test_bench_rows_and_ratios(capsys):
     code, out, _ = run(capsys, "bench", "--max-n", "4096", "--json")
     assert code == 0

@@ -1,6 +1,9 @@
 """Stopped Huffman solver, brute-force oracles, and property checkers."""
 
+import heapq
+import math
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -14,6 +17,8 @@ from kpart import (
     OBJECTIVES,
     InputError,
     Instance,
+    Lemma2Report,
+    OracleResult,
     Partition,
     SizeLimitError,
     brute_force,
@@ -322,6 +327,161 @@ def test_brute_optima_are_canonical_and_distinct(inst, k):
         assert p.canonical() is p
         assert p not in seen
         seen.add(p)
+
+
+# --- the subset-mask sweep against the restricted-growth-string oracle ----
+
+
+def _rgs_up_to_k(n, k):
+    """Every restricted growth string over n elements with <= k blocks."""
+    a = [0] * n
+    m = [0] * n  # m[i] = max(a[:i+1])
+    yield a
+    while True:
+        i = n - 1
+        while i > 0 and a[i] >= min(m[i - 1] + 1, k - 1):
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        m[i] = max(a[i], m[i - 1])
+        for p in range(i + 1, n):
+            a[p] = 0
+            m[p] = m[i]
+        yield a
+
+
+def _heap_merge_cost(ws):
+    heap = list(ws)
+    heapq.heapify(heap)
+    cost = 0
+    while len(heap) > 1:
+        s = heapq.heappop(heap) + heapq.heappop(heap)
+        cost += s
+        heapq.heappush(heap, s)
+    return cost
+
+
+def _rgs_scores(w, a, k, total):
+    """Every objective's value for one assignment over the sorted weights."""
+    sums = [0] * k
+    groups = [[] for _ in range(k)]
+    for x, g in zip(w, a):
+        sums[g] += x
+        groups[g].append(x)
+    acc = math.fsum(q * math.log2(q) for q in sorted(q for q in sums if q))
+    h = math.log2(total) - acc / total
+    hi = max(sums)
+    return {
+        "min_diff": hi - min(sums),
+        "min_max": hi,
+        "max_min": min(sums),
+        "entropy": 0.0 if h < 0.0 else h,
+        "min_entropy": hi,
+        "product_of_sums": math.prod(sums),
+        "compression": sum(map(_heap_merge_cost, groups)),
+    }
+
+
+def _rgs_oracle(inst, k):
+    """brute_force for every objective, and verify_lemma2, from one
+    restricted-growth-string enumeration that rebuilds every group of every
+    partition; entropy optima lie in a 1e-9 band below the final best."""
+    n = len(inst.weights)
+    order = sorted(range(n), key=inst.weights.__getitem__)
+    w = [inst.weights[e] for e in order]
+    rgs = [tuple(a) for a in _rgs_up_to_k(n, k)]
+    scores = [_rgs_scores(w, a, k, inst.total) for a in rgs]
+    results = {}
+    for objective in OBJECTIVES:
+        values = [sc[objective] for sc in scores]
+        if objective == "entropy":
+            best = max(values)
+            picks = [a for v, a in zip(values, rgs) if v >= best - 1e-9]
+        else:
+            maximize = objective in ("max_min", "product_of_sums")
+            best = max(values) if maximize else min(values)
+            picks = [a for v, a in zip(values, rgs) if v == best]
+        if objective == "min_entropy":
+            best = max(0.0, math.log2(inst.total) - math.log2(best))
+        parts = []
+        for a in picks:
+            orig = [0] * n
+            for p, e in enumerate(order):
+                orig[e] = a[p]
+            parts.append(Partition(tuple(orig), k).canonical())
+        parts.sort(key=lambda p: p.assignment)
+        results[objective] = OracleResult(objective, best, tuple(parts), len(rgs))
+    if n > k:
+        # sorted positions 0 and 1 hold the two smallest weights
+        costs = [sc["compression"] for sc in scores]
+        joined = [c for c, a in zip(costs, rgs) if a[0] == a[1]]
+        results["lemma2"] = Lemma2Report(min(costs), min(joined), len(rgs))
+    return results
+
+
+def _oracle_cases(count):
+    """Seeded instances with n <= 9 and k in 1..6 (k > n too): weights from
+    pools of repeated values, across [1, 2**40], log-uniform, and near-ties
+    just under 2**40 whose entropies differ by less than the 1e-9 band."""
+    rng = random.Random("solver:subset-sweep")
+    for i in range(count):
+        n = rng.randint(1, 9)
+        shape = i % 4
+        if shape == 0:
+            pool = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+            ws = [rng.choice(pool) for _ in range(n)]
+        elif shape == 1:
+            ws = [rng.randint(1, MAX_WEIGHT) for _ in range(n)]
+        elif shape == 2:
+            ws = [min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(n)]
+        else:
+            ws = [MAX_WEIGHT - rng.randint(0, 12) for _ in range(n)]
+        yield Instance(tuple(ws)), rng.randint(1, 6)
+
+
+def test_sweep_matches_the_rgs_oracle():
+    for inst, k in _oracle_cases(120):
+        want = _rgs_oracle(inst, k)
+        for objective in OBJECTIVES:
+            assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
+        if len(inst.weights) > k:
+            assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
+
+
+def _stirling_up_to(n, k):
+    """Sum of S(n, j) over j <= k: the set partitions into at most k blocks."""
+    row = [1] + [0] * k  # S(0, j)
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return sum(row)
+
+
+def test_partitions_searched_is_exact():
+    assert [_stirling_up_to(6, k) for k in range(1, 7)] == [1, 32, 122, 187, 202, 203]
+    for n in range(1, 11):
+        inst = Instance(tuple(range(1, n + 1)))
+        for k in range(1, MAX_ORACLE_K + 1):
+            want = _stirling_up_to(n, k)
+            objective = OBJECTIVES[(n + k) % len(OBJECTIVES)]
+            assert brute_force(inst, k, objective).partitions_searched == want
+            if n > k:
+                assert verify_lemma2(inst, k).partitions_searched == want
+
+
+def test_entropy_sweep_memory_stays_flat():
+    # one table of 2**n floats, plus only the candidates inside the band
+    rng = random.Random("solver:entropy-memory")
+    inst = Instance(
+        tuple(min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(10))
+    )
+    tracemalloc.start()
+    try:
+        brute_force(inst, 4, "entropy")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 # --- greedy ---------------------------------------------------------------
