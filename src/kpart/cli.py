@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections import Counter
 
 from .core import (
+    MAX_ELEMENTS,
     Instance,
     InputError,
     Partition,
@@ -231,109 +232,77 @@ def _cmd_oracle(args) -> int:
 # --- verify -------------------------------------------------------------
 
 
-def _rand_small_instance(rng, max_n: int) -> tuple[Instance, int]:
-    n = rng.randint(3, max_n)
-    k = rng.randint(2, min(4, n - 1))
-    return Instance(tuple(rng.randint(1, 30) for _ in range(n))), k
-
-
-def _suite_lemma2(seed: int, count: int, max_n: int) -> dict:
-    rng = random.Random(f"{seed}:lemma2")
-    violations = 0
+def _small_cases(seed: int, tag: str, count: int, max_n: int):
+    """count (instance, k) draws with 3 <= n <= max_n and 2 <= k <= min(4, n - 1)."""
+    rng = random.Random(f"{seed}:{tag}")
     for _ in range(count):
-        inst, k = _rand_small_instance(rng, max_n)
-        if not verify_lemma2(inst, k).ok:
-            violations += 1
-    return {"name": "lemma2", "checks": count, "violations": violations}
+        n = rng.randint(3, max_n)
+        k = rng.randint(2, min(4, n - 1))
+        yield Instance(tuple(rng.randint(1, 30) for _ in range(n))), k
 
 
-def _suite_theorem1(seed: int, count: int, max_n: int, trials=None) -> dict:
-    rng = random.Random(f"{seed}:theorem1")
-    checks = 0
-    violations = 0
-    for _ in range(count):
-        inst, k = _rand_small_instance(rng, max_n)
-        rep = verify_principle_of_optimality(inst, k, trials)
-        checks += rep.recombinations_checked
-        violations += rep.violations
-    return {"name": "theorem1", "checks": checks, "violations": violations}
-
-
-def _sandwich_holds(inst, part) -> bool:
-    cost = compression_cost(inst, part)
-    comp_bits = cost / inst.total
-    hxa = conditional_entropy(inst, part)
-    if not (hxa <= comp_bits + 1e-9 and comp_bits - 1.0 < hxa + 1e-9):
-        return False
-    for lbl, members in enumerate(part.groups()):
-        if not members:
-            continue
-        code = build_huffman([inst.weights[e] for e in members])
-        expected = expected_length_bits(code)
-        h = shannon_entropy(conditional_dist(inst, part, lbl))
-        if not (h <= expected + 1e-9 and expected - 1.0 < h + 1e-9):
-            return False
-    return True
-
-
-def _suite_sandwich(seed: int, count: int, max_n: int) -> dict:
+def _sandwich_cases(seed: int, count: int, max_n: int):
+    """count random (instance, partition) pairs, 1 <= n <= max_n and k <= 5."""
     rng = random.Random(f"{seed}:sandwich")
-    violations = 0
     for _ in range(count):
         n = rng.randint(1, max_n)
         k = rng.randint(1, 5)
         inst = Instance(tuple(rng.randint(1, 50) for _ in range(n)))
-        part = Partition(tuple(rng.randrange(k) for _ in range(n)), k)
-        if not _sandwich_holds(inst, part):
-            violations += 1
-    return {"name": "sandwich", "checks": count, "violations": violations}
+        yield inst, Partition(tuple(rng.randrange(k) for _ in range(n)), k)
 
 
-def _suite_oracle_equivalence(seed: int, count: int, max_n: int) -> dict:
-    rng = random.Random(f"{seed}:oracle")
-    violations = 0
-    for _ in range(count):
-        inst, k = _rand_small_instance(rng, max_n)
-        part, _ = stopped_huffman(inst, k)
-        got = compression_cost(inst, part)
-        want = brute_force(inst, k, "compression").best_value
-        if got != want:
-            violations += 1
-    return {"name": "oracle_equivalence", "checks": count, "violations": violations}
+def _tally(name: str, results) -> dict:
+    """Suite row summing one (checks, violations) pair per case."""
+    checks = violations = 0
+    for c, v in results:
+        checks += c
+        violations += v
+    return {"name": name, "checks": checks, "violations": violations}
 
 
-def _verify_one_instance(inst, k: int, trials) -> list[dict]:
-    suites = []
-    n = len(inst.weights)
-    if n > k:
-        rep = verify_lemma2(inst, k)
-        suites.append(
-            {"name": "lemma2", "checks": 1, "violations": 0 if rep.ok else 1}
+def _suite_lemma2(cases) -> dict:
+    """Co-grouping lemma on each (instance, k) case, n > k."""
+    return _tally("lemma2", ((1, not verify_lemma2(inst, k).ok) for inst, k in cases))
+
+
+def _suite_theorem1(cases) -> dict:
+    """Recombinations of entropic optima, per (instance, k, trials cap) case."""
+    reps = (verify_principle_of_optimality(inst, k, t) for inst, k, t in cases)
+    return _tally("theorem1", ((r.recombinations_checked, r.violations) for r in reps))
+
+
+def _sandwiched(h: float, bits: float) -> bool:
+    """h <= bits < h + 1, with 1e-9 of slack for float rounding."""
+    return h <= bits + 1e-9 and bits - 1.0 < h + 1e-9
+
+
+def _sandwich_holds(inst, part) -> bool:
+    """The sandwich for H(X|A) and L(X|A), then for each nonempty group's code."""
+    bits = compression_cost(inst, part) / inst.total
+    if not _sandwiched(conditional_entropy(inst, part), bits):
+        return False
+    return all(
+        _sandwiched(
+            shannon_entropy(conditional_dist(inst, part, lbl)),
+            expected_length_bits(build_huffman([inst.weights[e] for e in members])),
         )
-    else:
-        suites.append({"name": "lemma2", "checks": 0, "violations": 0})
-    t1 = verify_principle_of_optimality(inst, k, trials)
-    suites.append(
-        {
-            "name": "theorem1",
-            "checks": t1.recombinations_checked,
-            "violations": t1.violations,
-        }
+        for lbl, members in enumerate(part.groups())
+        if members
     )
-    sh_part, _ = stopped_huffman(inst, k)
-    parts = [sh_part, greedy_baseline(inst, k)]
-    bad = sum(0 if _sandwich_holds(inst, p) else 1 for p in parts)
-    suites.append({"name": "sandwich", "checks": len(parts), "violations": bad})
-    got = compression_cost(inst, sh_part)
-    want = brute_force(inst, k, "compression").best_value
-    suites.append(
-        {
-            "name": "oracle_equivalence",
-            "checks": 1,
-            "violations": 0 if got == want else 1,
-        }
+
+
+def _suite_sandwich(cases) -> dict:
+    """Entropy sandwich on each (instance, partition) case, overall and per group."""
+    return _tally("sandwich", ((1, not _sandwich_holds(inst, p)) for inst, p in cases))
+
+
+def _suite_oracle_equivalence(cases) -> dict:
+    """Each (instance, stopped-Huffman partition) case costs the oracle's minimum."""
+    costs = (
+        (compression_cost(inst, p), brute_force(inst, p.k, "compression").best_value)
+        for inst, p in cases
     )
-    return suites
+    return _tally("oracle_equivalence", ((1, got != want) for got, want in costs))
 
 
 def _cmd_verify(args) -> int:
@@ -346,13 +315,24 @@ def _cmd_verify(args) -> int:
         raise InputError("--max-n must be at least 3")
     if args.list is not None or args.file is not None:
         inst = _load_instance(args)
-        suites = _verify_one_instance(inst, args.k, trials)
-    else:
+        k = args.k
         suites = [
-            _suite_lemma2(seed, trials or 200, max_n or 10),
-            _suite_theorem1(seed, trials or 30, max_n or 10),
-            _suite_sandwich(seed, trials or 1000, max_n or 12),
-            _suite_oracle_equivalence(seed, trials or 200, max_n or 10),
+            _suite_lemma2([(inst, k)] if len(inst.weights) > k else []),
+            _suite_theorem1([(inst, k, trials)]),
+        ]
+        part, _ = stopped_huffman(inst, k)
+        suites.append(_suite_sandwich([(inst, part), (inst, greedy_baseline(inst, k))]))
+        suites.append(_suite_oracle_equivalence([(inst, part)]))
+    else:
+        theorem1 = _small_cases(seed, "theorem1", trials or 30, max_n or 10)
+        oracle = _small_cases(seed, "oracle", trials or 200, max_n or 10)
+        suites = [
+            _suite_lemma2(_small_cases(seed, "lemma2", trials or 200, max_n or 10)),
+            _suite_theorem1((inst, k, None) for inst, k in theorem1),
+            _suite_sandwich(_sandwich_cases(seed, trials or 1000, max_n or 12)),
+            _suite_oracle_equivalence(
+                (inst, stopped_huffman(inst, k)[0]) for inst, k in oracle
+            ),
         ]
     ok = all(s["violations"] == 0 for s in suites)
     if args.json:
@@ -369,9 +349,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    top = args.max_n if args.max_n is not None else 1 << 20
+    top = args.max_n if args.max_n is not None else MAX_ELEMENTS
     if top < 1024:
         raise InputError("--max-n must be at least 1024 for bench")
+    if top > MAX_ELEMENTS:
+        raise SizeLimitError(f"--max-n {top} exceeds the limit of {MAX_ELEMENTS}")
     k = args.k
     rng = random.Random(f"{args.seed}:bench")
     rows = []
@@ -414,12 +396,18 @@ def _cmd_bench(args) -> int:
 # --- argument parsing ---------------------------------------------------
 
 
-def _add_instance_args(p, with_k=True) -> None:
-    if with_k:
-        p.add_argument("-k", type=int, required=True, help="number of groups")
+def _add_instance_args(p, objective=False) -> None:
+    p.add_argument("-k", type=int, required=True, help="number of groups")
     p.add_argument("--list", help="inline instance, comma or whitespace separated")
     p.add_argument("--file", help="read the instance from a file ('#' comments)")
     p.add_argument("--json", action="store_true", help="emit one JSON object")
+    if objective:
+        p.add_argument(
+            "--objective",
+            choices=OBJECTIVES,
+            default="compression",
+            help="objective function (default: compression)",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -433,13 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="partition an instance under one objective")
-    _add_instance_args(ps)
-    ps.add_argument(
-        "--objective",
-        choices=OBJECTIVES,
-        default="compression",
-        help="objective function (default: compression)",
-    )
+    _add_instance_args(ps, objective=True)
     mode = ps.add_mutually_exclusive_group()
     mode.add_argument(
         "--oracle", action="store_true", help="exhaustive search, small instances only"
@@ -454,13 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_trace)
 
     po = sub.add_parser("oracle", help="exhaustively optimize one objective")
-    _add_instance_args(po)
-    po.add_argument(
-        "--objective",
-        choices=OBJECTIVES,
-        default="compression",
-        help="objective function (default: compression)",
-    )
+    _add_instance_args(po, objective=True)
     po.set_defaults(func=_cmd_oracle)
 
     pv = sub.add_parser("verify", help="run the seeded property suites")

@@ -74,8 +74,7 @@ class Partition:
     def __post_init__(self) -> None:
         a = tuple(self.assignment)
         object.__setattr__(self, "assignment", a)
-        if self.k < 1:
-            raise InputError(f"k must be at least 1, got {self.k}")
+        _check_k(self.k)
         if not a:
             raise InputError("assignment must cover at least one element")
         if min(a) < 0 or max(a) >= self.k:
@@ -83,18 +82,11 @@ class Partition:
 
     def canonical(self) -> "Partition":
         """Relabel groups in first-occurrence order; idempotent."""
-        remap: dict[int, int] = {}
-        out = []
-        for a in self.assignment:
-            g = remap.get(a)
-            if g is None:
-                g = len(remap)
-                remap[a] = g
-            out.append(g)
-        tup = tuple(out)
-        if tup == self.assignment:
+        perm = _first_occurrence(self.assignment, self.k)
+        used = self.k - perm.count(-1)
+        if perm[:used] == list(range(used)):
             return self
-        return Partition(tup, self.k)
+        return Partition(tuple(map(perm.__getitem__, self.assignment)), self.k)
 
     def groups(self) -> tuple[tuple[int, ...], ...]:
         """Member indices per label; empty groups are empty tuples."""
@@ -194,6 +186,31 @@ def _check_weights(ws) -> int:
         if max(ws) > MAX_WEIGHT:
             raise SizeLimitError(f"weight {max(ws)} exceeds the limit of {MAX_WEIGHT}")
     return total
+
+
+def _check_k(k: int) -> None:
+    """Reject a group count outside [1, MAX_ELEMENTS]."""
+    if k < 1:
+        raise InputError(f"k must be at least 1, got {k}")
+    if k > MAX_ELEMENTS:
+        raise SizeLimitError(f"k={k} exceeds the limit of {MAX_ELEMENTS}")
+
+
+def _first_occurrence(labels, k: int) -> list[int]:
+    """Map each of k labels to its rank of first appearance in labels.
+
+    Labels that never appear map to -1. Stops at the last label's first
+    appearance, so it reads only a prefix.
+    """
+    perm = [-1] * k
+    seen = 0
+    for g in labels:
+        if perm[g] < 0:
+            perm[g] = seen
+            seen += 1
+            if seen == k:
+                break
+    return perm
 
 
 def _check_covers(inst: Instance, p: Partition) -> None:

@@ -30,7 +30,12 @@ def min_entropy(d: Dist) -> Bits:
     m = max(d.numerators)
     if m <= 0:
         raise InputError("distribution has no mass")
-    h = math.log2(d.denominator) - math.log2(m)
+    return _min_entropy_bits(m, d.denominator)
+
+
+def _min_entropy_bits(m: int, total: int) -> Bits:
+    """min_entropy of a distribution whose largest numerator m is positive."""
+    h = math.log2(total) - math.log2(m)
     return h if h > 0.0 else 0.0
 
 

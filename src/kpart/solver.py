@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import ne
 
-from .core import Instance, InputError, Partition, SizeLimitError, _check_covers
-from .entropy import _entropy_bits
+from .core import Instance, InputError, Partition, SizeLimitError
+from .core import _check_covers, _check_k, _first_occurrence
+from .entropy import _entropy_bits, _min_entropy_bits
 from .huffman import _merge, _merge_cost_sorted
 
 OBJECTIVES = (
@@ -168,8 +169,7 @@ def stopped_huffman(inst: Instance, k: int) -> tuple[Partition, MergeTrace]:
     runs, as at large k, an argsort of the weights and a scatter do it,
     O(n log n).
     """
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    _check_k(k)
     ws = inst.weights
     n = len(ws)
     if n <= k:
@@ -218,22 +218,6 @@ def stopped_huffman(inst: Instance, k: int) -> tuple[Partition, MergeTrace]:
     return part, MergeTrace(vals, left, right, final)
 
 
-def _first_occurrence(labels, k: int) -> list[int]:
-    """Map each of k labels to its rank of first appearance in labels.
-
-    Stops at the last label's first appearance, so it reads only a prefix.
-    """
-    perm = [-1] * k
-    seen = 0
-    for g in labels:
-        if perm[g] < 0:
-            perm[g] = seen
-            seen += 1
-            if seen == k:
-                break
-    return perm
-
-
 def _runs_in_input_order(ws, vals, starts) -> list[int]:
     """Run index of each weight, in input order, for stopped_huffman.
 
@@ -259,8 +243,7 @@ def _runs_in_input_order(ws, vals, starts) -> list[int]:
 
 
 def _guard_oracle(n: int, k: int) -> None:
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    _check_k(k)
     if n > MAX_ORACLE_N:
         raise SizeLimitError(f"oracle handles at most {MAX_ORACLE_N} elements, got {n}")
     if k > MAX_ORACLE_K:
@@ -535,9 +518,7 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     swept = "min_max" if objective == "min_entropy" else objective
     best, picks, searched = _sweep(_slot_table(w, k, swept), w, k, swept)
     if objective == "min_entropy":
-        best = math.log2(inst.total) - math.log2(best)
-        if best < 0.0:
-            best = 0.0
+        best = _min_entropy_bits(best, inst.total)
     parts = sorted(
         (_to_original_partition(blocks, order, k) for blocks in picks),
         key=lambda p: p.assignment,
@@ -554,8 +535,7 @@ def greedy_baseline(inst: Instance, k: int) -> Partition:
     Ties prefer the lowest group label. Comparison baseline only; carries no
     optimality claim for any objective.
     """
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    _check_k(k)
     n = len(inst.weights)
     heap = [(0, lbl) for lbl in range(k)]
     order = sorted(range(n), key=lambda e: (-inst.weights[e], e))

@@ -255,6 +255,29 @@ def test_oversized_weight_exits_three(capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (("solve", "--list", "1,2"), 1 << 40),
+        # the greedy heap holds k entries: at 2^40 it would exhaust memory
+        # wherever the bound is missing
+        (("solve", "--greedy", "--list", "1,2"), (1 << 20) + 1),
+        (("solve", "--oracle", "--list", "1,2"), 1 << 40),
+        (("trace", "--list", "1,2"), 1 << 40),
+        (("oracle", "--list", "1,2"), 1 << 40),
+        (("verify", "--list", "1,2"), 1 << 40),
+        (("bench", "--max-n", "1024"), 1 << 40),
+    ],
+    ids=["solve", "greedy", "oracle-flag", "trace", "oracle", "verify", "bench"],
+)
+def test_k_above_the_element_limit_exits_three(capsys, argv, k):
+    # solve and trace once ended in a MemoryError traceback, exit 1
+    code, out, err = run(capsys, *argv, "-k", str(k))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: k={k} exceeds the limit of {1 << 20}\n"
+
+
 def test_verify_small_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--trials", "5", "--max-n", "6")
     assert code == 0
@@ -328,6 +351,33 @@ def test_verify_trials_caps_recombinations_for_one_instance(capsys, trials, chec
     assert suites["lemma2"]["checks"] == 1
 
 
+# recorded before the sweep and the single-instance mode shared one copy of
+# each suite; the second instance has n <= k, so lemma2 runs no check
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ("--seed", "0", "--trials", "3", "--max-n", "6"),
+            '{"seed":0,"suites":[{"name":"lemma2","checks":3,"violations":0},'
+            '{"name":"theorem1","checks":3,"violations":0},'
+            '{"name":"sandwich","checks":3,"violations":0},'
+            '{"name":"oracle_equivalence","checks":3,"violations":0}],"ok":true}\n',
+        ),
+        (
+            ("-k", "4", "--list", "1,2,3"),
+            '{"seed":0,"suites":[{"name":"lemma2","checks":0,"violations":0},'
+            '{"name":"theorem1","checks":6,"violations":0},'
+            '{"name":"sandwich","checks":2,"violations":0},'
+            '{"name":"oracle_equivalence","checks":1,"violations":0}],"ok":true}\n',
+        ),
+    ],
+)
+def test_verify_exact_json(capsys, args, expected):
+    code, out, _ = run(capsys, "verify", *args, "--json")
+    assert code == 0
+    assert out == expected
+
+
 def test_verify_help_states_both_meanings_of_trials(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
@@ -352,3 +402,14 @@ def test_bench_human_output(capsys):
     header, *rows = [ln for ln in out.splitlines() if ln.strip()]
     assert header.split() == ["n", "seconds", "ratio"]
     assert len(rows) == 2
+
+
+def test_bench_rejects_max_n_past_the_limit_before_any_work(monkeypatch, capsys):
+    def fail(inst, k):
+        raise AssertionError("bench timed a size before checking --max-n")
+
+    monkeypatch.setattr("kpart.cli.stopped_huffman", fail)
+    code, out, err = run(capsys, "bench", "--max-n", str(1 << 21))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: --max-n {1 << 21} exceeds the limit of {1 << 20}\n"

@@ -161,6 +161,27 @@ def test_canonical_relabels_by_first_occurrence():
     assert q.canonical() is q
 
 
+def test_partition_k_is_bounded_by_the_element_limit():
+    assert Partition((0,), MAX_ELEMENTS).k == MAX_ELEMENTS
+    with pytest.raises(SizeLimitError, match="exceeds the limit"):
+        Partition((0,), MAX_ELEMENTS + 1)
+
+
+@given(st.data())
+def test_canonical_matches_a_plain_dict_relabel(data):
+    n = data.draw(st.integers(1, 30))
+    k = data.draw(st.integers(1, n + 3))
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    p = Partition(tuple(labels), k)
+    remap = {}
+    want = tuple(remap.setdefault(a, len(remap)) for a in p.assignment)
+    c = p.canonical()
+    assert c.k == k
+    assert c.assignment == want
+    assert (c is p) == (want == p.assignment)
+    assert c.canonical() is c
+
+
 def test_partition_equality_ignores_label_names():
     a = Partition((0, 1, 0, 1), 2)
     b = Partition((1, 0, 1, 0), 2)

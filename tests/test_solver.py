@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpart import (
+    MAX_ELEMENTS,
     MAX_ORACLE_K,
     MAX_WEIGHT,
     MAX_ORACLE_N,
@@ -97,6 +98,23 @@ def test_rejects_bad_k(worked_instance):
         stopped_huffman(worked_instance, 0)
     with pytest.raises(InputError):
         stopped_huffman(worked_instance, -2)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        stopped_huffman,
+        greedy_baseline,
+        lambda inst, k: brute_force(inst, k, "compression"),
+    ],
+)
+def test_one_k_rule_for_every_solver(worked_instance, solve):
+    # greedy_baseline once built a k-entry heap before looking at k
+    with pytest.raises(SizeLimitError, match=f"k={MAX_ELEMENTS + 1} exceeds"):
+        solve(worked_instance, MAX_ELEMENTS + 1)
+    with pytest.raises(InputError, match="k must be at least 1, got 0") as exc:
+        solve(worked_instance, 0)
+    assert not isinstance(exc.value, SizeLimitError)
 
 
 @given(small_instances, st.integers(1, 13))
