@@ -181,12 +181,12 @@ def _render_merge_lists(inst, trace) -> list[str]:
 
 
 def _cmd_trace(args) -> int:
+    if args.json:
+        # trace --json is solve --json: the parser gives trace solve's
+        # compression defaults
+        return _cmd_solve(args)
     inst = _load_instance(args)
     part, trace = stopped_huffman(inst, args.k)
-    if args.json:
-        rep = evaluate(inst, part, trace.cost)
-        _print_json(_payload(inst, args.k, "compression", part, rep, trace))
-        return 0
     for line in _render_merge_lists(inst, trace):
         print(line)
     print("final groups:")
@@ -306,16 +306,21 @@ def _suite_oracle_equivalence(cases) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed
+    seed = 0 if args.seed is None else args.seed
     trials = args.trials
     max_n = args.max_n
+    single = args.list is not None or args.file is not None
     if trials is not None and trials < 1:
         raise InputError("--trials must be at least 1")
+    if single and (args.seed is not None or max_n is not None):
+        raise InputError("--seed and --max-n apply only to the seeded sweep")
+    if not single and args.k is not None:
+        raise InputError("-k applies only with --list or --file")
     if max_n is not None and max_n < 3:
         raise InputError("--max-n must be at least 3")
-    if args.list is not None or args.file is not None:
+    if single:
         inst = _load_instance(args)
-        k = args.k
+        k = 2 if args.k is None else args.k
         suites = [
             _suite_lemma2([(inst, k)] if len(inst.weights) > k else []),
             _suite_theorem1([(inst, k, trials)]),
@@ -433,18 +438,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("trace", help="show the merge lists of the stopped Huffman run")
     _add_instance_args(pt)
-    pt.set_defaults(func=_cmd_trace)
+    pt.set_defaults(
+        func=_cmd_trace, objective="compression", oracle=False, greedy=False
+    )
 
     po = sub.add_parser("oracle", help="exhaustively optimize one objective")
     _add_instance_args(po, objective=True)
     po.set_defaults(func=_cmd_oracle)
 
     pv = sub.add_parser("verify", help="run the seeded property suites")
-    pv.add_argument("-k", type=int, default=2, help="groups for single-instance mode")
+    pv.add_argument("-k", type=int, help="groups for --list or --file (default 2)")
     pv.add_argument("--list", help="verify this inline instance instead of the sweep")
     pv.add_argument("--file", help="verify the instance in this file")
     pv.add_argument("--json", action="store_true", help="emit one JSON object")
-    pv.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
+    pv.add_argument("--seed", type=int, help="suite seed, sweep only (default 0)")
     pv.add_argument(
         "--trials",
         type=int,
@@ -453,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the most theorem1 recombinations to check (default: all)",
     )
     pv.add_argument(
-        "--max-n", type=int, default=None, help="largest instance size per suite"
+        "--max-n", type=int, help="largest instance size per suite, sweep only"
     )
     pv.set_defaults(func=_cmd_verify)
 

@@ -49,29 +49,26 @@ def _merge(vals: list[int], k: int) -> tuple[list[int], list[int], int, int]:
     mf = _SENTINEL
     for t in range(merges):
         if mf <= lf:
-            a = j
-            va = mf
+            left[t] = j
+            s = mf
             j += 1
             mf = vals[j]
         else:
-            a = i
-            va = lf
+            left[t] = i
+            s = lf
             i += 1
             lf = vals[i]
         if mf <= lf:
-            b = j
-            vb = mf
+            right[t] = j
+            s += mf
             j += 1
             mf = vals[j]
         else:
-            b = i
-            vb = lf
+            right[t] = i
+            s += lf
             i += 1
             lf = vals[i]
-        s = va + vb
         vals[cur] = s
-        left[t] = a
-        right[t] = b
         if j == cur:
             mf = s
         cur += 1
@@ -105,9 +102,6 @@ def build_huffman(weights) -> HuffmanCode:
     if n == 0:
         raise InputError("cannot build a code over no symbols")
     total = _check_weights(ws)
-    if n == 1:
-        return HuffmanCode((0,), 0, total)
-
     order = sorted(range(n), key=ws.__getitem__)
     vals = [ws[p] for p in order]
     left, right, _, _ = _merge(vals, 1)

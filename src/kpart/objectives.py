@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Dist, Instance, Partition, _check_covers, subset_sums
-from .entropy import min_entropy, shannon_entropy
+from .core import Instance, Partition, _check_covers, subset_sums
+from .entropy import _entropy_bits, _min_entropy_bits
 from .huffman import _merge_cost_sorted
 
 INT64_MAX = (1 << 63) - 1
@@ -84,14 +84,13 @@ def evaluate(inst: Instance, p: Partition, cost: int | None = None) -> Objective
     prod = 1
     for q in sums:
         prod *= q
-    marg = Dist(sums, inst.total)
     cnum = compression_cost(inst, p) if cost is None else cost
     return ObjectiveReport(
         min_diff=hi - lo,
         min_max=hi,
         max_min=lo,
-        entropy_bits=shannon_entropy(marg),
-        min_entropy_bits=min_entropy(marg),
+        entropy_bits=_entropy_bits(sums, inst.total),
+        min_entropy_bits=_min_entropy_bits(hi, inst.total),
         product_of_sums=prod,
         product_overflow=prod > INT64_MAX,
         compression_numerator=cnum,

@@ -11,7 +11,9 @@ ascending, one table holds the objective's term for every subset of the
 elements (subset sum, q * log2(q) of it, or Huffman merge cost), filled in
 O(2**n). Each partition into <= k blocks is then k block masks, and
 scoring it takes O(1) lookups in that table instead of regrouping n
-elements.
+elements. max_min and min_entropy have no sweep of their own: both are
+read off the min_max sweep, max_min as minus its value over the negated
+weights.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import ne
 
-from .core import Instance, InputError, Partition, SizeLimitError
+from .core import Instance, InputError, Partition, SizeLimitError, subset_sums
 from .core import _check_covers, _check_k, _first_occurrence
 from .entropy import _entropy_bits, _min_entropy_bits
 from .huffman import _merge, _merge_cost_sorted
@@ -276,9 +278,9 @@ def _slot_table(w, k: int, objective: str) -> list | None:
     return sums
 
 
-# Innermost levels of the sweep, one per objective. Each walks the submasks
-# s of r2, the remainder past its lowest element low, and scores the
-# partition whose last two blocks are low | s and r2 ^ s; pre holds the
+# Innermost levels of the sweep, one per swept objective. Each walks the
+# submasks s of r2, the remainder past its lowest element low, and scores
+# the partition whose last two blocks are low | s and r2 ^ s; pre holds the
 # blocks before them and agg their terms, folded as _SWEEPS says. Ties
 # with the best go to picks, which is cleared when the best improves.
 
@@ -312,27 +314,6 @@ def _last_two_min_max(t, total, low, r2, pre, agg, best, picks):
             v = agg
         if v <= best:
             if v < best:
-                best = v
-                picks.clear()
-            picks.append(pre + (a, b))
-        if not s:
-            return best
-        s = (s - 1) & r2
-
-
-def _last_two_max_min(t, total, low, r2, pre, agg, best, picks):
-    s = r2
-    while True:
-        a = low | s
-        b = r2 ^ s
-        v = t[a]
-        y = t[b]
-        if y < v:
-            v = y
-        if agg < v:
-            v = agg
-        if v >= best:
-            if v > best:
                 best = v
                 picks.clear()
             picks.append(pre + (a, b))
@@ -414,11 +395,12 @@ def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
 
 
 # objective -> (innermost level, fold of one more block's term into agg,
-# agg before any block, a value every partition beats or ties)
+# agg before any block, a value every partition beats or ties). max_min has
+# no entry: brute_force sweeps it as min_max over the negated weights, whose
+# sums are all <= 0, so min_max's agg starts below every sum
 _SWEEPS = {
     "compression": (_last_two_compression, int.__add__, 0, math.inf),
-    "min_max": (_last_two_min_max, max, 0, math.inf),
-    "max_min": (_last_two_max_min, min, math.inf, -1),
+    "min_max": (_last_two_min_max, max, -math.inf, math.inf),
     "min_diff": (
         _last_two_min_diff,
         lambda agg, q: (max(agg[0], q), min(agg[1], q)),
@@ -504,8 +486,9 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     all 2**n subsets (O(2**n) work, skipped at k = 1), then scores every
     partition with O(1) lookups in it and returns every optimum. Exact
     integer objectives compare exactly; entropy keeps every partition within
-    1e-9 of the best, and min_entropy reduces exactly to minimizing the
-    largest subset sum. Guarded to n <= 14 and k <= 6.
+    1e-9 of the best. Two objectives reduce exactly to min_max, the largest
+    subset sum: min_entropy is a decreasing function of it, and max_min is
+    minus min_max over the negated weights. Guarded to n <= 14 and k <= 6.
     """
     if objective not in OBJECTIVES:
         raise InputError(
@@ -515,9 +498,13 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     _guard_oracle(n, k)
     order = sorted(range(n), key=inst.weights.__getitem__)
     w = [inst.weights[e] for e in order]
-    swept = "min_max" if objective == "min_entropy" else objective
+    swept = "min_max" if objective in ("max_min", "min_entropy") else objective
+    if objective == "max_min":
+        w = [-x for x in w]
     best, picks, searched = _sweep(_slot_table(w, k, swept), w, k, swept)
-    if objective == "min_entropy":
+    if objective == "max_min":
+        best = -best
+    elif objective == "min_entropy":
         best = _min_entropy_bits(best, inst.total)
     parts = sorted(
         (_to_original_partition(blocks, order, k) for blocks in picks),
@@ -536,14 +523,14 @@ def greedy_baseline(inst: Instance, k: int) -> Partition:
     optimality claim for any objective.
     """
     _check_k(k)
-    n = len(inst.weights)
+    ws = inst.weights
     heap = [(0, lbl) for lbl in range(k)]
-    order = sorted(range(n), key=lambda e: (-inst.weights[e], e))
-    out = [0] * n
-    for e in order:
+    out = [0] * len(ws)
+    # a stable sort keeps equal weights in index order under reverse too
+    for e in sorted(range(len(ws)), key=ws.__getitem__, reverse=True):
         s, lbl = heapq.heappop(heap)
         out[e] = lbl
-        heapq.heappush(heap, (s + inst.weights[e], lbl))
+        heapq.heappush(heap, (s + ws[e], lbl))
     return Partition(tuple(out), k).canonical()
 
 
@@ -618,27 +605,27 @@ def verify_principle_of_optimality(
             if not side2:
                 continue
             try:
-                sub1, elems1 = conditional_subinstance(inst, part, side1)
-                sub2, elems2 = conditional_subinstance(inst, part, side2)
+                sub1, _ = conditional_subinstance(inst, part, side1)
+                sub2, _ = conditional_subinstance(inst, part, side2)
             except InputError:
                 degenerate += 1
                 continue
-            k1 = len(side1)
-            k2 = len(side2)
-            r1 = brute_force(sub1, k1, "entropy")
-            r2 = brute_force(sub2, k2, "entropy")
-            for g1 in r1.optimal_partitions:
-                for g2 in r2.optimal_partitions:
+            # a recombination's k sums are its two sides' sums side by side
+            sums1 = [
+                subset_sums(sub1, g).sums
+                for g in brute_force(sub1, len(side1), "entropy").optimal_partitions
+            ]
+            sums2 = [
+                subset_sums(sub2, g).sums
+                for g in brute_force(sub2, len(side2), "entropy").optimal_partitions
+            ]
+            for q1 in sums1:
+                for q2 in sums2:
                     if trials is not None and checked >= trials:
                         return RecombinationReport(
                             best, checked, violations, degenerate, max_dev
                         )
-                    sums = [0] * (k1 + k2)
-                    for e, a in zip(elems1, g1.assignment):
-                        sums[a] += inst.weights[e]
-                    for e, a in zip(elems2, g2.assignment):
-                        sums[k1 + a] += inst.weights[e]
-                    h = _entropy_bits(sums, total)
+                    h = _entropy_bits(q1 + q2, total)
                     dev = abs(h - best)
                     if dev > max_dev:
                         max_dev = dev

@@ -194,6 +194,24 @@ def test_trace_json_round_trips_through_evaluate(capsys):
     assert merged == payload["report"]["compression_numerator"]
 
 
+def test_trace_json_past_n_is_exact(capsys):
+    # recorded while trace --json had its own copy of solve's JSON path: at
+    # k > n no merge runs and every element keeps a group of its own
+    expected = (
+        '{"instance":[1,1,2,3,4,5],"k":9,"objective":"compression",'
+        '"partition":{"k":9,"assignment":[0,1,2,3,4,5]},'
+        '"subset_sums":[1,1,2,3,4,5,0,0,0],'
+        '"report":{"min_diff":5,"min_max":5,"max_min":0,'
+        '"entropy_bits":2.3522170014624826,"min_entropy_bits":1.6780719051126378,'
+        '"product_of_sums":0,"product_overflow":false,"compression_numerator":0,'
+        '"compression_bits":0.0},"trace":{"steps":[],"final_list":[1,1,2,3,4,5]}}\n'
+    )
+    for command in ("trace", "solve"):
+        code, out, _ = run(capsys, command, "-k", "9", "--list", WORKED, "--json")
+        assert code == 0
+        assert out == expected
+
+
 def test_oracle_command_payload(capsys):
     code, out, _ = run(
         capsys, "oracle", "-k", "2", "--list", WORKED, "--json"
@@ -208,6 +226,75 @@ def test_oracle_command_payload(capsys):
         [0, 0, 0, 1, 0, 1],
         [0, 0, 0, 1, 1, 0],
     ]
+
+
+NEAR_TIE = ",".join(str((1 << 40) - d) for d in (0, 1, 2, 3, 5, 7))
+
+
+# recorded while max_min had a sweep of its own: k = 1, k > n (every
+# partition leaves a slot empty, so all tie at 0), and the 2^40 near ties
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ("-k", "1", "--list", WORKED),
+            '{"instance":[1,1,2,3,4,5],"k":1,"objective":"max_min",'
+            '"partition":{"k":1,"assignment":[0,0,0,0,0,0]},"subset_sums":[16],'
+            '"report":{"min_diff":0,"min_max":16,"max_min":16,"entropy_bits":0.0,'
+            '"min_entropy_bits":0.0,"product_of_sums":16,"product_overflow":false,'
+            '"compression_numerator":38,"compression_bits":2.375},'
+            '"oracle":{"best_value":16,"optima_count":1,"partitions_searched":1,'
+            '"optimal_assignments":[[0,0,0,0,0,0]]}}\n',
+        ),
+        (
+            ("-k", "6", "--list", "3,1,2,2"),
+            '{"instance":[3,1,2,2],"k":6,"objective":"max_min",'
+            '"partition":{"k":6,"assignment":[0,0,0,0]},"subset_sums":[8,0,0,0,0,0],'
+            '"report":{"min_diff":8,"min_max":8,"max_min":0,"entropy_bits":0.0,'
+            '"min_entropy_bits":0.0,"product_of_sums":0,"product_overflow":false,'
+            '"compression_numerator":16,"compression_bits":2.0},'
+            '"oracle":{"best_value":0,"optima_count":15,"partitions_searched":15,'
+            '"optimal_assignments":[[0,0,0,0],[0,0,0,1],[0,0,1,0],[0,0,1,1],'
+            "[0,0,1,2],[0,1,0,0],[0,1,0,1],[0,1,0,2],[0,1,1,0],[0,1,1,1],"
+            '[0,1,1,2],[0,1,2,0],[0,1,2,1],[0,1,2,2],[0,1,2,3]]}}\n',
+        ),
+        (
+            ("-k", "2", "--list", NEAR_TIE),
+            '{"instance":[1099511627776,1099511627775,1099511627774,'
+            '1099511627773,1099511627771,1099511627769],"k":2,"objective":"max_min",'
+            '"partition":{"k":2,"assignment":[0,1,0,1,1,0]},'
+            '"subset_sums":[3298534883319,3298534883319],'
+            '"report":{"min_diff":0,"min_max":3298534883319,"max_min":3298534883319,'
+            '"entropy_bits":1.0,"min_entropy_bits":1.0,'
+            '"product_of_sums":10880332376472288944455761,"product_overflow":true,'
+            '"compression_numerator":10995116277725,'
+            '"compression_bits":1.6666666666659087},'
+            '"oracle":{"best_value":3298534883319,"optima_count":1,'
+            '"partitions_searched":32,"optimal_assignments":[[0,1,0,1,1,0]]}}\n',
+        ),
+        (
+            ("-k", "3", "--list", NEAR_TIE),
+            '{"instance":[1099511627776,1099511627775,1099511627774,'
+            '1099511627773,1099511627771,1099511627769],"k":3,"objective":"max_min",'
+            '"partition":{"k":3,"assignment":[0,1,2,1,2,0]},'
+            '"subset_sums":[2199023255545,2199023255548,2199023255545],'
+            '"report":{"min_diff":3,"min_max":2199023255548,"max_min":2199023255545,'
+            '"entropy_bits":1.5849625007211472,'
+            '"min_entropy_bits":1.5849625007198398,'
+            '"product_of_sums":10633823966192284324218434079105744700,'
+            '"product_overflow":true,"compression_numerator":6597069766638,'
+            '"compression_bits":1.0},'
+            '"oracle":{"best_value":2199023255545,"optima_count":2,'
+            '"partitions_searched":122,'
+            '"optimal_assignments":[[0,1,2,1,2,0],[0,1,2,2,1,0]]}}\n',
+        ),
+    ],
+    ids=["k1", "k-past-n", "near-tie-k2", "near-tie-k3"],
+)
+def test_oracle_max_min_exact_json(capsys, args, expected):
+    code, out, _ = run(capsys, "oracle", *args, "--objective", "max_min", "--json")
+    assert code == 0
+    assert out == expected
 
 
 def test_oracle_command_respects_size_guard(capsys):
@@ -376,6 +463,38 @@ def test_verify_exact_json(capsys, args, expected):
     code, out, _ = run(capsys, "verify", *args, "--json")
     assert code == 0
     assert out == expected
+
+
+SWEEP_ONLY = "--seed and --max-n apply only to the seeded sweep"
+INSTANCE_ONLY = "-k applies only with --list or --file"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--list", WORKED, "--seed", "9"), SWEEP_ONLY),
+        (("--list", WORKED, "--seed", "0"), SWEEP_ONLY),
+        (("--list", WORKED, "--max-n", "8"), SWEEP_ONLY),
+        # one mode's flag is refused before the other mode's bound is checked
+        (("--list", WORKED, "--max-n", "2"), SWEEP_ONLY),
+        (("-k", "3", "--trials", "2"), INSTANCE_ONLY),
+        (("-k", "2", "--seed", "1"), INSTANCE_ONLY),
+    ],
+    ids=[
+        "list-seed",
+        "list-seed-0",
+        "list-max-n",
+        "list-max-n-2",
+        "sweep-k",
+        "sweep-k-seed",
+    ],
+)
+def test_verify_refuses_flags_of_the_other_mode(capsys, args, message):
+    # the other mode has no use for the flag, so it would be dropped silently
+    code, out, err = run(capsys, "verify", *args, "--json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_help_states_both_meanings_of_trials(capsys):

@@ -21,6 +21,7 @@ from kpart import (
     Lemma2Report,
     OracleResult,
     Partition,
+    RecombinationReport,
     SizeLimitError,
     brute_force,
     compression_cost,
@@ -577,6 +578,23 @@ def test_recombination_small_sweep():
         inst = Instance(tuple(rng.randint(1, 30) for _ in range(n)))
         rep = verify_principle_of_optimality(inst, k)
         assert rep.ok, (inst, k)
+
+
+# recorded before each recombination took its sums from the two sides'
+# subset_sums; the last two have a label split with an empty side
+@pytest.mark.parametrize(
+    "ws, k, trials, expected",
+    [
+        ((6, 4, 1, 1, 5, 8), 4, None, (1.978688570451097, 39, 0, 0, 0.0)),
+        ((6, 4, 1, 1, 5, 8), 4, 5, (1.978688570451097, 5, 0, 0, 0.0)),
+        ((11, 1, 10, 5, 4, 11, 12), 3, None, (1.5747850173558806, 36, 0, 0, 0.0)),
+        ((27, 4, 19), 4, None, (1.302004483497889, 6, 0, 1, 0.0)),
+        ((27, 4, 19), 4, 1, (1.302004483497889, 1, 0, 1, 0.0)),
+    ],
+)
+def test_recombination_reports_are_exact(ws, k, trials, expected):
+    rep = verify_principle_of_optimality(Instance(ws), k, trials)
+    assert rep == RecombinationReport(*expected)
 
 
 # --- conditional subinstances -----------------------------------------------
