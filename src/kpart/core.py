@@ -77,6 +77,14 @@ class Partition:
         _check_k(self.k)
         if not a:
             raise InputError("assignment must cover at least one element")
+        # one summing pass, as in _check_weights: any label that is not an
+        # integer makes the sum fail or come out as another type
+        try:
+            label_sum = sum(a)
+        except TypeError:
+            raise InputError("assignment labels must be integers") from None
+        if not isinstance(label_sum, int):
+            raise InputError("assignment labels must be integers")
         if min(a) < 0 or max(a) >= self.k:
             raise InputError("assignment labels must lie in [0, k)")
 
@@ -189,7 +197,9 @@ def _check_weights(ws) -> int:
 
 
 def _check_k(k: int) -> None:
-    """Reject a group count outside [1, MAX_ELEMENTS]."""
+    """Reject a group count that is not an integer in [1, MAX_ELEMENTS]."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InputError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
     if k > MAX_ELEMENTS:

@@ -14,6 +14,15 @@ scoring it takes O(1) lookups in that table instead of regrouping n
 elements. max_min and min_entropy have no sweep of their own: both are
 read off the min_max sweep, max_min as minus its value over the negated
 weights.
+
+At k >= 4 the same remainder, the positions left for the last two blocks,
+recurs under many choices of the blocks before them: 1,024 remainders
+under 88,574 choices at n = 12, k = 4. So the level that places the
+third-to-last block sweeps each remainder's last two blocks once on their
+own into a summary, kept in a list indexed by the remainder's mask, and
+settles each choice from it, scanning the last two blocks only when the
+summary cannot decide. At k <= 3 each remainder occurs once, so a summary
+would only add a sweep, and those sweeps scan directly.
 """
 
 from __future__ import annotations
@@ -394,22 +403,202 @@ def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
         s = (s - 1) & r2
 
 
-# objective -> (innermost level, fold of one more block's term into agg,
-# agg before any block, a value every partition beats or ties). max_min has
-# no entry: brute_force sweeps it as min_max over the negated weights, whose
-# sums are all <= 0, so min_max's agg starts below every sum
+# The level above the innermost one, used when k >= 4, places the
+# third-to-last block b = low | s and leaves the remainder r = r2 ^ s to the
+# last two blocks. Under many prefixes the same r recurs, so summ[r] caches
+# a summary of r's last two blocks swept alone, with the neutral agg: m,
+# their best value, and for the objectives whose ties it settles, the
+# splits that reach it. A choice runs the scan below only when the summary
+# cannot settle it.
+
+
+def _summary(last_two, t, total, r, agg0, best0):
+    """(m, splits): the best value of remainder r's last two blocks alone,
+    and every split of r that reaches it."""
+    splits: list = []
+    low = r & -r
+    return last_two(t, total, low, r ^ low, (), agg0, best0, splits), splits
+
+
+def _last_three_compression(t, total, low, r2, pre, agg, best, picks, summ):
+    # each split adds its own term to agg + t[b], so the summary's splits
+    # are exactly the best ones under any prefix
+    s = r2
+    while True:
+        b = low | s
+        r = r2 ^ s
+        e = summ[r]
+        if e is None:
+            e = summ[r] = _summary(_last_two_compression, t, total, r, 0, math.inf)
+        v = agg + t[b] + e[0]
+        if v <= best:
+            if v < best:
+                best = v
+                picks.clear()
+            head = pre + (b,)
+            picks += [head + split for split in e[1]]
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_three_product(t, total, low, r2, pre, agg, best, picks, summ):
+    # agg * t[b] is 0 only when b and r are empty, and r = 0 has one split
+    s = r2
+    while True:
+        b = low | s
+        r = r2 ^ s
+        e = summ[r]
+        if e is None:
+            e = summ[r] = _summary(_last_two_product, t, total, r, 1, -1)
+        v = agg * t[b] * e[0]
+        if v >= best:
+            if v > best:
+                best = v
+                picks.clear()
+            head = pre + (b,)
+            picks += [head + split for split in e[1]]
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
+    # with a = max(agg, t[b]) <= m every split scores max(a, its own max),
+    # so the summary's splits are the best ones; above m, a split ties at a
+    # whenever its own max is at most a, and only a scan finds them
+    s = r2
+    while True:
+        b = low | s
+        r = r2 ^ s
+        e = summ[r]
+        if e is None:
+            e = summ[r] = _summary(_last_two_min_max, t, total, r, -math.inf, math.inf)
+        a = t[b]
+        if agg > a:
+            a = agg
+        m = e[0]
+        if a <= m:
+            if m <= best:
+                if m < best:
+                    best = m
+                    picks.clear()
+                head = pre + (b,)
+                picks += [head + split for split in e[1]]
+        elif a <= best:
+            low_r = r & -r
+            best = _last_two_min_max(
+                t, total, low_r, r ^ low_r, pre + (b,), a, best, picks
+            )
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_three_min_diff(t, total, low, r2, pre, agg, best, picks, summ):
+    # the last two sums x <= y add up to t[r], so a split's score
+    # max(hi, y) - min(lo, x), with hi and lo the extremes of agg and t[b],
+    # grows with y - x and is least at the summary's splits, where
+    # y - x = m. If y >= hi or x <= lo there, any wider split scores more,
+    # so the summary's splits are the only ties; otherwise every split with
+    # y <= hi and x >= lo ties at hi - lo, and only a scan finds them
+    hi0, lo0 = agg
+    s = r2
+    while True:
+        b = low | s
+        r = r2 ^ s
+        e = summ[r]
+        if e is None:
+            e = summ[r] = _summary(_last_two_min_diff, t, total, r, (0, math.inf), math.inf)
+        q = t[b]
+        hi = hi0 if hi0 > q else q
+        lo = lo0 if lo0 < q else q
+        y = (t[r] + e[0]) >> 1
+        x = t[r] - y
+        if y >= hi or x <= lo:
+            v = (y if y > hi else hi) - (x if x < lo else lo)
+            if v <= best:
+                if v < best:
+                    best = v
+                    picks.clear()
+                head = pre + (b,)
+                picks += [head + split for split in e[1]]
+        elif hi - lo <= best:
+            low_r = r & -r
+            best = _last_two_min_diff(
+                t, total, low_r, r ^ low_r, pre + (b,), (hi, lo), best, picks
+            )
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
+    # the scan below skips each split whose plain sum of terms is over its
+    # cut. m, the least t[a] + t[b] over r's splits, bounds those sums from
+    # below up to rounding, which one more 1e-12 * total of slack covers; a
+    # choice past that gets no scan, since the scan would keep nothing
+    top = math.log2(total)
+    slack = 1e-12 * total
+    cut = (top - (best - _ENTROPY_TOL) + 1e-12) * total + slack
+    base = sum(agg)
+    s = r2
+    while True:
+        b = low | s
+        r = r2 ^ s
+        m = summ[r]
+        if m is None:
+            m = summ[r] = _summary(_last_two_compression, t, total, r, 0, math.inf)[0]
+        if base + t[b] + m <= cut:
+            low_r = r & -r
+            best = _last_two_entropy(
+                t, total, low_r, r ^ low_r, pre + (b,), (*agg, t[b]), best, picks
+            )
+            cut = (top - (best - _ENTROPY_TOL) + 1e-12) * total + slack
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+# objective -> (innermost level, the level above it, fold of one more
+# block's term into agg, agg before any block, a value every partition
+# beats or ties). max_min has no entry: brute_force sweeps it as min_max
+# over the negated weights, whose sums are all <= 0, so min_max's agg
+# starts below every sum
 _SWEEPS = {
-    "compression": (_last_two_compression, int.__add__, 0, math.inf),
-    "min_max": (_last_two_min_max, max, -math.inf, math.inf),
+    "compression": (
+        _last_two_compression,
+        _last_three_compression,
+        int.__add__,
+        0,
+        math.inf,
+    ),
+    "min_max": (_last_two_min_max, _last_three_min_max, max, -math.inf, math.inf),
     "min_diff": (
         _last_two_min_diff,
+        _last_three_min_diff,
         lambda agg, q: (max(agg[0], q), min(agg[1], q)),
         (0, math.inf),
         math.inf,
     ),
-    "product_of_sums": (_last_two_product, int.__mul__, 1, -1),
-    "entropy": (_last_two_entropy, lambda agg, f: (*agg, f), (), -1.0),
+    "product_of_sums": (_last_two_product, _last_three_product, int.__mul__, 1, -1),
+    "entropy": (
+        _last_two_entropy,
+        _last_three_entropy,
+        lambda agg, f: (*agg, f),
+        (),
+        -1.0,
+    ),
 }
+
+
+def _partitions_up_to(n: int, k: int) -> int:
+    """Sum of S(n, j) over j <= k: the set partitions of n elements into at
+    most k blocks, by the Stirling recurrence S(m, j) = j S(m-1, j) + S(m-1, j-1)."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return sum(row)
 
 
 def _sweep(t, w, k: int, objective: str, joined: int = 0):
@@ -423,14 +612,20 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0):
     mask of positions, keeps only the partitions whose first block holds
     them too.
 
-    O(1) table lookups per partition. Returns (best, picks, searched), with
-    picks the block-mask tuples of every optimum. For entropy, the kept
-    candidates are pruned to the band below the best each time it rises,
-    so the last prune settles them against the final best.
+    O(1) table lookups per partition. At k >= 4 the third-to-last block is
+    placed by the level that reads per-remainder summaries; at k <= 3 every
+    remainder occurs once, so a summary would only add a sweep. Returns
+    (best, picks, searched), with picks the block-mask tuples of every
+    optimum and searched the number of partitions scored: those into <= k
+    blocks of the positions, with the joined ones fused into one element.
+    For entropy, the kept candidates are pruned to the band below the
+    best each time it rises, so the last prune settles them against the
+    final best.
     """
-    last_two, fold, agg0, best = _SWEEPS[objective]
+    last_two, last_three, fold, agg0, best = _SWEEPS[objective]
     full = (1 << len(w)) - 1
     total = sum(w)
+    searched = _partitions_up_to(len(w) - joined.bit_count(), k)
     if k == 1:
         # one partition, every position in one block
         if objective == "compression":
@@ -441,17 +636,19 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0):
             best = 0
         else:
             best = total
-        return best, [(full,)], 1
+        return best, [(full,)], searched
     picks: list = []
-    searched = 0
+    summ = [None] * (full + 1) if k > 3 else None
 
     def place(rem, slots, pre, agg, must):
-        nonlocal best, searched
+        nonlocal best
         low = (rem & -rem) | must
         r2 = rem ^ low
         if slots == 2:
-            searched += 1 << r2.bit_count()
             best = last_two(t, total, low, r2, pre, agg, best, picks)
+            return
+        if slots == 3 and summ is not None:
+            best = last_three(t, total, low, r2, pre, agg, best, picks, summ)
             return
         s = r2
         while True:
@@ -484,7 +681,10 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
 
     Sorts the elements by weight, fills one table of per-block terms over
     all 2**n subsets (O(2**n) work, skipped at k = 1), then scores every
-    partition with O(1) lookups in it and returns every optimum. Exact
+    partition with O(1) lookups in it and returns every optimum. At k >= 4
+    the last two blocks are scored from one summary per remainder, built
+    once, instead of a scan under every prefix; at k <= 3 every remainder
+    occurs once and is scanned directly. Exact
     integer objectives compare exactly; entropy keeps every partition within
     1e-9 of the best. Two objectives reduce exactly to min_max, the largest
     subset sum: min_entropy is a decreasing function of it, and max_min is
@@ -586,11 +786,26 @@ def verify_principle_of_optimality(
     independently with their side's label budget; every cross pairing of
     side optima is recombined and must reproduce the optimal entropy within
     1e-9. Splits whose sides hold no elements are counted as degenerate and
-    skipped. trials, when given, caps the number of recombinations checked.
+    skipped. Each distinct side, its weights in input order and its label
+    count, is solved once per call. trials, when given, caps the number of
+    recombinations checked.
     """
     res = brute_force(inst, k, "entropy")
     best = res.best_value
     total = inst.total
+    # splits of different optima often leave the same elements on one side
+    solved: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+
+    def side_optima(sub: Instance, labels: int) -> list[tuple[int, ...]]:
+        """Subset sums of every entropic optimum of one side, solved once."""
+        key = (sub.weights, labels)
+        if key not in solved:
+            solved[key] = [
+                subset_sums(sub, g).sums
+                for g in brute_force(sub, labels, "entropy").optimal_partitions
+            ]
+        return solved[key]
+
     checked = 0
     violations = 0
     degenerate = 0
@@ -611,14 +826,8 @@ def verify_principle_of_optimality(
                 degenerate += 1
                 continue
             # a recombination's k sums are its two sides' sums side by side
-            sums1 = [
-                subset_sums(sub1, g).sums
-                for g in brute_force(sub1, len(side1), "entropy").optimal_partitions
-            ]
-            sums2 = [
-                subset_sums(sub2, g).sums
-                for g in brute_force(sub2, len(side2), "entropy").optimal_partitions
-            ]
+            sums1 = side_optima(sub1, len(side1))
+            sums2 = side_optima(sub2, len(side2))
             for q1 in sums1:
                 for q2 in sums2:
                     if trials is not None and checked >= trials:

@@ -153,6 +153,24 @@ def test_partition_validation():
         Partition((), 1)
 
 
+@pytest.mark.parametrize(
+    "assignment, k",
+    [
+        ((0.5, 0), 2),
+        ((0, 1.0), 2),
+        ((0, "1"), 2),
+        ((0, 1), 2.5),
+        ((0, 1), 2.0),
+        ((0,), True),
+    ],
+)
+def test_partition_rejects_non_integer_labels_and_k(assignment, k):
+    # each was once accepted, and groups, canonical or evaluate then raised
+    # a stray TypeError
+    with pytest.raises(InputError, match="must be (an integer|integers)"):
+        Partition(assignment, k)
+
+
 def test_canonical_relabels_by_first_occurrence():
     p = Partition((1, 1, 0, 2), 3)
     assert p.canonical().assignment == (0, 0, 1, 2)

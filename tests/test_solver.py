@@ -118,6 +118,14 @@ def test_one_k_rule_for_every_solver(worked_instance, solve):
     assert not isinstance(exc.value, SizeLimitError)
 
 
+@pytest.mark.parametrize("solve", [stopped_huffman, greedy_baseline, brute_force])
+def test_every_solver_rejects_a_non_integer_k(worked_instance, solve):
+    # a float k once got past the k rule and failed later with a TypeError
+    args = ("compression",) if solve is brute_force else ()
+    with pytest.raises(InputError, match="k must be an integer, got 2.0"):
+        solve(worked_instance, 2.0, *args)
+
+
 @given(small_instances, st.integers(1, 13))
 def test_trace_shape_invariants(inst, k):
     part, trace = stopped_huffman(inst, k)
@@ -439,24 +447,45 @@ def _rgs_oracle(inst, k):
     return results
 
 
+def _oracle_weights(rng, n, shape):
+    """n weights of one of five shapes: from a pool of repeated values,
+    across [1, 2**40], log-uniform, near-ties just under 2**40 whose
+    entropies differ by less than the 1e-9 band, and near-ties just over
+    2**20 whose entropies spread across that band, up to its edge."""
+    if shape == 4:
+        return [(1 << 20) + rng.randint(0, 300) for _ in range(n)]
+    if shape == 0:
+        pool = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        return [rng.choice(pool) for _ in range(n)]
+    if shape == 1:
+        return [rng.randint(1, MAX_WEIGHT) for _ in range(n)]
+    if shape == 2:
+        return [min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(n)]
+    return [MAX_WEIGHT - rng.randint(0, 12) for _ in range(n)]
+
+
 def _oracle_cases(count):
-    """Seeded instances with n <= 9 and k in 1..6 (k > n too): weights from
-    pools of repeated values, across [1, 2**40], log-uniform, and near-ties
-    just under 2**40 whose entropies differ by less than the 1e-9 band."""
+    """Seeded instances with n <= 9 and k in 1..6 (k > n too), each weight
+    shape of _oracle_weights in turn."""
     rng = random.Random("solver:subset-sweep")
     for i in range(count):
         n = rng.randint(1, 9)
-        shape = i % 4
-        if shape == 0:
-            pool = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
-            ws = [rng.choice(pool) for _ in range(n)]
-        elif shape == 1:
-            ws = [rng.randint(1, MAX_WEIGHT) for _ in range(n)]
-        elif shape == 2:
-            ws = [min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(n)]
-        else:
-            ws = [MAX_WEIGHT - rng.randint(0, 12) for _ in range(n)]
+        ws = _oracle_weights(rng, n, i % 4)
         yield Instance(tuple(ws)), rng.randint(1, 6)
+
+
+def _summary_level_cases():
+    """Seeded instances at k = 4..6, where the sweep places the third-to-last
+    block from per-remainder summaries: n up to 11, both kinds of entropy
+    near-ties at k = 4 and 5, and k > n, where the remainders are empty."""
+    rng = random.Random("solver:summary-level")
+    for n, k, shape in (
+        (10, 4, 0), (10, 5, 1), (10, 6, 2), (11, 4, 3),
+        (9, 5, 3), (9, 6, 0), (8, 4, 1), (8, 5, 2),
+        (9, 4, 4), (9, 5, 4), (8, 4, 4), (8, 5, 4),
+        (3, 5, 0), (2, 4, 1), (4, 6, 2), (5, 6, 3),
+    ):
+        yield Instance(tuple(_oracle_weights(rng, n, shape))), k
 
 
 def test_sweep_matches_the_rgs_oracle():
@@ -466,6 +495,85 @@ def test_sweep_matches_the_rgs_oracle():
             assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
         if len(inst.weights) > k:
             assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
+
+
+def test_summary_level_matches_the_rgs_oracle():
+    for inst, k in _summary_level_cases():
+        want = _rgs_oracle(inst, k)
+        for objective in OBJECTIVES:
+            assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
+        if len(inst.weights) > k:
+            assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
+
+
+def _summary_level_run(monkeypatch, inst, k, objective):
+    """Sweep one objective with its two lowest levels wrapped.
+
+    Returns the number of choices of the third-to-last block, the prefixes
+    (blocks up to that one) handed to a scan of the innermost level, and the
+    optima's block masks. A summary sweeps its remainder with no prefix, so
+    it is not counted as a scan.
+    """
+    last_two, last_three, *rest = solver._SWEEPS[objective]
+    choices = 0
+    scanned = []
+
+    def two(t, total, low, r2, pre, agg, best, picks):
+        if pre:
+            scanned.append(pre)
+        return last_two(t, total, low, r2, pre, agg, best, picks)
+
+    def three(t, total, low, r2, pre, agg, best, picks, summ):
+        nonlocal choices
+        choices += 1 << r2.bit_count()
+        return last_three(t, total, low, r2, pre, agg, best, picks, summ)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, last_two.__name__, two)
+        m.setitem(solver._SWEEPS, objective, (last_two, three, *rest))
+        w = sorted(inst.weights)
+        _, picks, _ = solver._sweep(solver._slot_table(w, k, objective), w, k, objective)
+    return choices, scanned, picks
+
+
+def test_summary_level_takes_each_branch(monkeypatch):
+    # min_max: with 10 in the last two blocks, every prefix scores at most
+    # 6 <= m, and the summary settles the choice; with 10 in the third-to-last
+    # block, a = 10 > m, and a scan finds the ties at 10
+    choices, scanned, picks = _summary_level_run(
+        monkeypatch, Instance((1,) * 6 + (10,)), 4, "min_max"
+    )
+    prefixes = {blocks[:2] for blocks in picks}
+    assert 0 < len(scanned) < choices
+    assert prefixes & set(scanned) and prefixes - set(scanned)
+    # min_diff and entropy: some choices are settled without a scan, some scanned
+    rng = random.Random("solver:summary-branches")
+    for n, k, shape, objective in (
+        (9, 4, 2, "min_diff"),
+        (10, 6, 1, "min_diff"),
+        (9, 4, 3, "entropy"),
+        (9, 5, 3, "entropy"),
+    ):
+        inst = Instance(tuple(_oracle_weights(rng, n, shape)))
+        choices, scanned, _ = _summary_level_run(monkeypatch, inst, k, objective)
+        assert 0 < len(scanned) < choices, (inst, k, objective)
+    # compression and product_of_sums: the summary settles every choice
+    for objective in ("compression", "product_of_sums"):
+        inst = Instance(tuple(_oracle_weights(rng, 9, 0)))
+        choices, scanned, _ = _summary_level_run(monkeypatch, inst, 5, objective)
+        assert choices > 0 and not scanned
+
+
+def test_joined_sweep_counts_the_fused_partitions():
+    # the first block holding sorted positions 0 and 1 is a partition of n - 1
+    # elements, counted here by the restricted growth strings that join them
+    for n in range(2, 10):
+        w = list(range(1, n + 1))
+        for k in range(1, MAX_ORACLE_K + 1):
+            t = solver._slot_table(w, k, "compression")
+            searched = solver._sweep(t, w, k, "compression", joined=0b10)[2]
+            joined = sum(1 for a in _rgs_up_to_k(n, k) if a[0] == a[1])
+            assert searched == joined == _stirling_up_to(n - 1, k), (n, k)
 
 
 def _stirling_up_to(n, k):
