@@ -443,7 +443,7 @@ def _last_three_compression(t, total, low, r2, pre, agg, best, picks, summ):
 
 
 def _last_three_product(t, total, low, r2, pre, agg, best, picks, summ):
-    # agg * t[b] is 0 only when b and r are empty, and r = 0 has one split
+    # agg * t[b] is 0 only when b is empty; then so is r, which has one split
     s = r2
     while True:
         b = low | s

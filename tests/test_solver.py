@@ -546,6 +546,16 @@ def test_summary_level_takes_each_branch(monkeypatch):
     prefixes = {blocks[:2] for blocks in picks}
     assert 0 < len(scanned) < choices
     assert prefixes & set(scanned) and prefixes - set(scanned)
+    # min_diff: some optima tie at hi - lo with their last two sums inside
+    # [lo, hi] but wider apart than the summary's splits; only a scan finds
+    # them, and a sweep that settled every choice from the summary kept 68
+    # of these 75
+    inst = Instance((7, 8, 8, 7, 9, 7, 7, 7))
+    choices, scanned, picks = _summary_level_run(monkeypatch, inst, 4, "min_diff")
+    prefixes = {blocks[:2] for blocks in picks}
+    assert len(picks) == 75
+    assert prefixes & set(scanned) and prefixes - set(scanned)
+    assert brute_force(inst, 4, "min_diff") == _rgs_oracle(inst, 4)["min_diff"]
     # min_diff and entropy: some choices are settled without a scan, some scanned
     rng = random.Random("solver:summary-branches")
     for n, k, shape, objective in (
