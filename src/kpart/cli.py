@@ -154,8 +154,8 @@ def _cmd_solve(args) -> int:
 # --- trace --------------------------------------------------------------
 
 
-def _render_merge_lists(inst, trace) -> list[str]:
-    """Each intermediate sorted list with merged super-node values marked."""
+def _render_merge_lists(inst, trace):
+    """Yield each intermediate sorted list with merged super-node values marked."""
     values = sorted(inst.weights)
     merged_flag = [False] * len(values)
 
@@ -165,7 +165,7 @@ def _render_merge_lists(inst, trace) -> list[str]:
         ]
         return "(" + ", ".join(cells) + ")"
 
-    lines = [fmt()]
+    yield fmt()
     for va, vb, vm in trace.steps:
         for v in (va, vb):
             # merged nodes sit left of equal-valued leaves, so the leftmost
@@ -176,8 +176,7 @@ def _render_merge_lists(inst, trace) -> list[str]:
         idx = bisect_left(values, vm)
         values.insert(idx, vm)
         merged_flag.insert(idx, True)
-        lines.append(fmt())
-    return lines
+        yield fmt()
 
 
 def _cmd_trace(args) -> int:

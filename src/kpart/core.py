@@ -28,10 +28,6 @@ class SizeLimitError(InputError):
 _TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 # '#' to the end of the line, where a line ends wherever str.splitlines breaks
 _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
-# in space-joined tokens, the first character no _TOKEN match can contain:
-# anything but a digit or a space, except a sign that opens a token and is
-# followed by a digit
-_BAD_CHAR = re.compile(r"[^0-9 ](?<!(?<![^ ])[+-](?=[0-9]))")
 
 
 # --- types ------------------------------------------------------------
@@ -110,15 +106,12 @@ class Partition:
     def from_json_dict(obj: dict) -> "Partition":
         if not isinstance(obj, dict) or set(obj) != {"k", "assignment"}:
             raise InputError('partition JSON must be {"k": int, "assignment": [int]}')
-        k = obj["k"]
         assignment = obj["assignment"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise InputError("partition k must be an integer")
         if not isinstance(assignment, list) or not all(
             isinstance(a, int) and not isinstance(a, bool) for a in assignment
         ):
             raise InputError("partition assignment must be a list of integers")
-        return Partition(tuple(assignment), k)
+        return Partition(tuple(assignment), obj["k"])
 
     def __eq__(self, other: object):
         if not isinstance(other, Partition):
@@ -238,14 +231,24 @@ def parse_instance(text: str) -> Instance:
     A '#' starts a comment running to end of line. Raises InputError on
     empty input, non-integer tokens, or nonpositive values.
     """
-    tokens = _COMMENT.sub("", text).replace(",", " ").split()
+    body = _COMMENT.sub("", text)
+    tokens = body.replace(",", " ").split()
     if not tokens:
         raise InputError("no weights found in input")
-    if _BAD_CHAR.search(" ".join(tokens)) is not None:
+    weights = None
+    # int() also reads underscores and non-ASCII digits, which a decimal
+    # weight cannot have; past those it refuses only a bad or over-long token
+    if "_" not in body and body.isascii():
+        try:
+            weights = tuple(map(int, tokens))
+        except ValueError:
+            pass
+    if weights is None:
         for tok in tokens:
             if _TOKEN.match(tok) is None:
                 raise InputError(f"not a decimal integer: {tok!r}")
-    return Instance(tuple(map(int, tokens)))
+        weights = tuple(map(int, tokens))
+    return Instance(weights)
 
 
 def subset_sums(inst: Instance, p: Partition) -> SubsetSums:

@@ -27,10 +27,7 @@ def _entropy_bits(nums, total: int) -> Bits:
 
 def min_entropy(d: Dist) -> Bits:
     """H_inf(d) = -log2(max_i n_i / D), a lower bound on shannon_entropy."""
-    m = max(d.numerators)
-    if m <= 0:
-        raise InputError("distribution has no mass")
-    return _min_entropy_bits(m, d.denominator)
+    return _min_entropy_bits(max(d.numerators), d.denominator)
 
 
 def _min_entropy_bits(m: int, total: int) -> Bits:

@@ -138,10 +138,8 @@ def merge_cost(weights) -> int:
 
 
 def _merge_cost_sorted(ws) -> int:
-    """merge_cost fast path for an already ascending list."""
+    """merge_cost fast path for an already ascending list; 0 below two weights."""
     g = len(ws)
-    if g < 2:
-        return 0
     cost = 0
     merged: list[int] = []
     append = merged.append

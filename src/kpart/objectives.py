@@ -9,6 +9,7 @@ compression ignore empty groups via the 0 * log 0 = 0 convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import Instance, Partition, _check_covers, subset_sums
@@ -81,9 +82,7 @@ def evaluate(inst: Instance, p: Partition, cost: int | None = None) -> Objective
     sums = subset_sums(inst, p).sums
     lo = min(sums)
     hi = max(sums)
-    prod = 1
-    for q in sums:
-        prod *= q
+    prod = math.prod(sums)
     cnum = compression_cost(inst, p) if cost is None else cost
     return ObjectiveReport(
         min_diff=hi - lo,
