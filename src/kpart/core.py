@@ -28,6 +28,8 @@ class SizeLimitError(InputError):
 _TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 # '#' to the end of the line, where a line ends wherever str.splitlines breaks
 _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+# a decimal token with more significant digits lies outside [1, MAX_WEIGHT]
+_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
 
 
 # --- types ------------------------------------------------------------
@@ -238,17 +240,46 @@ def parse_instance(text: str) -> Instance:
     weights = None
     # int() also reads underscores and non-ASCII digits, which a decimal
     # weight cannot have; past those it refuses only a bad or over-long token
-    if "_" not in body and body.isascii():
+    if "_" not in body and (body.isascii() or all(map(str.isascii, tokens))):
         try:
             weights = tuple(map(int, tokens))
         except ValueError:
             pass
-    if weights is None:
-        for tok in tokens:
-            if _TOKEN.match(tok) is None:
-                raise InputError(f"not a decimal integer: {tok!r}")
-        weights = tuple(map(int, tokens))
-    return Instance(weights)
+    return Instance(_read_tokens(tokens) if weights is None else weights)
+
+
+def _read_tokens(tokens) -> list[int]:
+    """Weights of tokens that int() refused or was not given.
+
+    Names the first token that is not a decimal integer. If all are, int()
+    refused one past its digit limit, which PYTHONINTMAXSTRDIGITS sets, so
+    each token is read by its significant digits instead. One with more of
+    them than MAX_WEIGHT lies below or above every weight in range, and is
+    judged as Instance would judge its value.
+    """
+    for tok in tokens:
+        if _TOKEN.match(tok) is None:
+            raise InputError(f"not a decimal integer: {tok!r}")
+    ws = []
+    # the digits of the most negative and of the largest out-of-range token
+    low = high = (0, "")
+    for tok in tokens:
+        digits = tok.lstrip("+-").lstrip("0")
+        if len(digits) <= _WEIGHT_DIGITS:
+            value = int(digits or "0")
+            ws.append(-value if tok[0] == "-" else value)
+            continue
+        if tok[0] == "-":
+            low = max(low, (len(digits), digits))
+        else:
+            high = max(high, (len(digits), digits))
+        ws.append(1)  # a stand-in that keeps the element count
+    if len(ws) <= MAX_ELEMENTS:  # else Instance rejects the count first
+        if low[1]:
+            raise InputError(f"weights must be positive, got -{low[1]}")
+        if high[1] and min(ws) >= 1:
+            raise SizeLimitError(f"weight {high[1]} exceeds the limit of {MAX_WEIGHT}")
+    return ws
 
 
 def subset_sums(inst: Instance, p: Partition) -> SubsetSums:
@@ -269,9 +300,12 @@ def conditional_dist(inst: Instance, p: Partition, label: int) -> Dist:
     """Distribution of X restricted to one group.
 
     Numerators are the member weights over the group sum; members carries
-    the element indices. Raises InputError for an empty group.
+    the element indices. Raises InputError for an empty group or a label
+    that is not an int in [0, k).
     """
     _check_covers(inst, p)
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise InputError(f"label must be an integer, got {label!r}")
     if not 0 <= label < p.k:
         raise InputError(f"label {label} outside [0, {p.k})")
     members = tuple(e for e, a in enumerate(p.assignment) if a == label)

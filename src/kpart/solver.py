@@ -788,8 +788,10 @@ def verify_principle_of_optimality(
     1e-9. Splits whose sides hold no elements are counted as degenerate and
     skipped. Each distinct side, its weights in input order and its label
     count, is solved once per call. trials, when given, caps the number of
-    recombinations checked.
+    recombinations checked; a negative cap raises InputError.
     """
+    if trials is not None and trials < 0:
+        raise InputError(f"trials must be non-negative, got {trials}")
     res = brute_force(inst, k, "entropy")
     best = res.best_value
     total = inst.total

@@ -2,15 +2,24 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import kpart
-from kpart import Lemma2Report, Partition, evaluate, parse_instance
-from kpart.cli import main
+from kpart import (
+    Instance,
+    Lemma2Report,
+    Partition,
+    evaluate,
+    parse_instance,
+    stopped_huffman,
+)
+from kpart.cli import _render_merge_lists, main
 
 WORKED = "1,1,2,3,4,5"
 
@@ -183,6 +192,21 @@ def test_trace_human_lines(capsys):
     assert "final groups:" in lines
 
 
+def test_trace_lines_are_rendered_one_at_a_time():
+    # the output is quadratic in n, so no more than one line may be held
+    rng = random.Random("cli:trace-memory")
+    inst = Instance(tuple(rng.randint(1, 1 << 30) for _ in range(1 << 10)))
+    _, trace = stopped_huffman(inst, 16)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _render_merge_lists(inst, trace))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == len(trace) + 1
+    assert peak < 1_000_000, peak
+
+
 def test_trace_json_round_trips_through_evaluate(capsys):
     code, out, _ = run(capsys, "trace", "-k", "2", "--list", WORKED, "--json")
     assert code == 0
@@ -297,6 +321,57 @@ def test_oracle_max_min_exact_json(capsys, args, expected):
     assert out == expected
 
 
+# recorded human output of kpart oracle; the second instance has more optima
+# than the ten it lists
+ORACLE_HUMAN = {
+    (WORKED, "compression"): """\
+instance: 1 1 2 3 4 5 (n=6, M=16)
+method: oracle, k=2, objective=compression
+best value 22 over 32 partitions; 3 optimal
+group 0: 1 1 2 3 (sum 7)
+group 1: 4 5 (sum 9)
+L(X|A) = 22/16 = 1.375
+H(A) = 0.988699 bits, H_inf(A) = 0.830075 bits
+min_diff = 2, min_max = 9, max_min = 7, product_of_sums = 63
+optimal assignments:
+  [0, 0, 0, 0, 1, 1]
+  [0, 0, 0, 1, 0, 1]
+  [0, 0, 0, 1, 1, 0]
+""",
+    ("5,5,5,5,5,5,5", "min_max"): """\
+instance: 5 5 5 5 5 5 5 (n=7, M=35)
+method: oracle, k=2, objective=min_max
+best value 20 over 64 partitions; 35 optimal
+group 0: 5 5 5 5 (sum 20)
+group 1: 5 5 5 (sum 15)
+L(X|A) = 65/35 = 1.85714
+H(A) = 0.985228 bits, H_inf(A) = 0.807355 bits
+min_diff = 5, min_max = 20, max_min = 15, product_of_sums = 300
+optimal assignments:
+  [0, 0, 0, 0, 1, 1, 1]
+  [0, 0, 0, 1, 0, 1, 1]
+  [0, 0, 0, 1, 1, 0, 1]
+  [0, 0, 0, 1, 1, 1, 0]
+  [0, 0, 0, 1, 1, 1, 1]
+  [0, 0, 1, 0, 0, 1, 1]
+  [0, 0, 1, 0, 1, 0, 1]
+  [0, 0, 1, 0, 1, 1, 0]
+  [0, 0, 1, 0, 1, 1, 1]
+  [0, 0, 1, 1, 0, 0, 1]
+  ... and 25 more
+""",
+}
+
+
+@pytest.mark.parametrize("weights, objective", list(ORACLE_HUMAN))
+def test_oracle_human_output(capsys, weights, objective):
+    code, out, err = run(
+        capsys, "oracle", "-k", "2", "--objective", objective, "--list", weights
+    )
+    assert (code, err) == (0, "")
+    assert out == ORACLE_HUMAN[weights, objective]
+
+
 def test_oracle_command_respects_size_guard(capsys):
     code, _, err = run(
         capsys, "oracle", "-k", "2", "--list", " ".join(["3"] * 15), "--json"
@@ -340,6 +415,26 @@ def test_oversized_weight_exits_three(capsys):
     code, _, err = run(capsys, "solve", "-k", "2", "--list", str(1 << 41))
     assert code == 3
     assert "limit" in err
+
+
+SEVENS = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "token, code, err",
+    [
+        (SEVENS, 3, f"error: weight {SEVENS} exceeds the limit of {1 << 40}\n"),
+        ("-" + SEVENS, 2, f"error: weights must be positive, got -{SEVENS}\n"),
+        ("0" * 5000 + "5", 0, ""),
+    ],
+    ids=["over-limit", "negative", "leading-zeros"],
+)
+def test_a_token_past_the_digit_limit_exits_by_its_value(capsys, token, code, err):
+    got = run(capsys, "solve", "-k", "2", "--list", f"1,{token}", "--json")
+    assert got[0] == code
+    assert got[2] == err
+    if code == 0:
+        assert json.loads(got[1])["instance"] == [1, 5]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Instance parsing, partitions, subset sums, and distributions."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -107,6 +108,83 @@ def _outcome(parse, text):
 @given(st.text(alphabet="0123456789+-#, \t\r\n\x0b\x0c\x85xe_.\u0661\u2028\xa0"))
 def test_parse_agrees_with_per_token_scan(text):
     assert _outcome(parse_instance, text) == _outcome(_per_token_parse, text)
+
+
+def _outcome_without_digit_limit(parse, text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _outcome(parse, text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_LONG_RUN = st.builds(
+    lambda sign, zeros, digit, run: sign + "0" * zeros + digit * run,
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 5000),
+    st.sampled_from("0123456789"),
+    st.integers(4290, 4310) | st.integers(0, 6000),
+)
+_PARSE_TOKENS = st.lists(
+    st.from_regex(r"[+-]?[0-9]{1,16}", fullmatch=True)
+    | _LONG_RUN
+    | st.sampled_from(["1_000", "_7", "7_", "\u0661\u0662", "3\u0669", "+", "x"]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    _PARSE_TOKENS,
+    st.lists(
+        st.sampled_from([" ", ",", "\n", "\xa0", "\u2028", " ,\xa0"]),
+        min_size=6,
+        max_size=6,
+    ),
+    st.sampled_from([640, 4300, 0]),
+)
+def test_parse_reads_tokens_past_the_digit_limit_by_value(tokens, seps, limit):
+    # the reference reads every token with no digit limit, so an over-long
+    # one reaches Instance's checks like any other
+    text = "".join(sep + tok for sep, tok in zip(seps, tokens))
+    want = _outcome_without_digit_limit(_per_token_parse, text)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got = _outcome(parse_instance, text)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == want
+
+
+_SEVENS = "7" * 5000
+_EIGHTS = "8" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (_SEVENS, SizeLimitError, f"weight {_SEVENS} exceeds the limit of {MAX_WEIGHT}"),
+        ("-" + _SEVENS, InputError, f"weights must be positive, got -{_SEVENS}"),
+        # as Instance judges: any nonpositive weight first, then the
+        # smallest, then the largest
+        (f"{_SEVENS},0", InputError, "weights must be positive, got 0"),
+        (f"-{'9' * 20},-{_SEVENS}", InputError, f"weights must be positive, got -{_SEVENS}"),
+        (f"-{_SEVENS},-{_EIGHTS}", InputError, f"weights must be positive, got -{_EIGHTS}"),
+        (f"{_EIGHTS},{_SEVENS},{'9' * 20}", SizeLimitError, f"weight {_EIGHTS} exceeds"),
+    ],
+    ids=["over-limit", "negative", "zero", "longer", "larger", "largest"],
+)
+def test_parse_judges_a_token_past_the_digit_limit_by_value(text, error, message):
+    with pytest.raises(InputError) as exc:
+        parse_instance(text)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(message)
+
+
+def test_parse_reads_leading_zeros_past_the_digit_limit():
+    assert parse_instance("0" * 5000 + "5").weights == (5,)
 
 
 def test_parse_rejects_nonpositive():
@@ -315,6 +393,13 @@ def test_marginal_and_conditional_examples(worked_instance):
         conditional_dist(worked_instance, Partition((0,) * 6, 2), 1)
     with pytest.raises(InputError):
         conditional_dist(worked_instance, p, 2)
+
+
+@pytest.mark.parametrize("label", ["a", 1.0, True, None])
+def test_conditional_dist_rejects_a_label_that_is_not_an_int(worked_instance, label):
+    p = Partition((0, 0, 0, 0, 1, 1), 2)
+    with pytest.raises(InputError, match="label must be an integer"):
+        conditional_dist(worked_instance, p, label)
 
 
 def test_instance_dist(worked_instance):

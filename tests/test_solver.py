@@ -94,6 +94,21 @@ def test_merged_nodes_can_straddle_untouched_leaves():
     assert part.assignment == (0,) * 5
 
 
+def test_merge_trace_equality_and_repr(worked_instance):
+    _, trace = stopped_huffman(worked_instance, 2)
+    # equality compares the merges, which do not see the input order
+    _, shuffled = stopped_huffman(Instance((5, 4, 3, 2, 1, 1)), 2)
+    assert trace == shuffled
+    assert trace != stopped_huffman(worked_instance, 3)[1]
+    # the same final list reached by other merges
+    assert stopped_huffman(Instance((1, 1, 2)), 1)[1] != stopped_huffman(
+        Instance((2, 2)), 1
+    )[1]
+    assert trace.__eq__((7, 9)) is NotImplemented
+    assert trace != (7, 9)
+    assert repr(trace) == "MergeTrace(steps=4, final_list=(7, 9))"
+
+
 def test_rejects_bad_k(worked_instance):
     with pytest.raises(InputError):
         stopped_huffman(worked_instance, 0)
@@ -684,6 +699,12 @@ def test_recombination_respects_trials_cap(worked_instance):
     rep = verify_principle_of_optimality(worked_instance, 3, trials=2)
     assert rep.recombinations_checked <= 2
     assert rep.ok
+
+
+@pytest.mark.parametrize("trials", [-1, -5])
+def test_recombination_rejects_a_negative_trials_cap(worked_instance, trials):
+    with pytest.raises(InputError, match="trials must be non-negative"):
+        verify_principle_of_optimality(worked_instance, 2, trials)
 
 
 def test_recombination_small_sweep():
