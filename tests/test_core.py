@@ -110,13 +110,13 @@ def test_parse_agrees_with_per_token_scan(text):
     assert _outcome(parse_instance, text) == _outcome(_per_token_parse, text)
 
 
-def _outcome_without_digit_limit(parse, text):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+def _outcome_at_digit_limit(parse, text, limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
         return _outcome(parse, text)
     finally:
-        sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(saved)
 
 
 _LONG_RUN = st.builds(
@@ -145,17 +145,11 @@ _PARSE_TOKENS = st.lists(
     st.sampled_from([640, 4300, 0]),
 )
 def test_parse_reads_tokens_past_the_digit_limit_by_value(tokens, seps, limit):
-    # the reference reads every token with no digit limit, so an over-long
-    # one reaches Instance's checks like any other
+    # the reference reads every token with no digit limit (0), so an
+    # over-long one reaches Instance's checks like any other
     text = "".join(sep + tok for sep, tok in zip(seps, tokens))
-    want = _outcome_without_digit_limit(_per_token_parse, text)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        got = _outcome(parse_instance, text)
-    finally:
-        sys.set_int_max_str_digits(saved)
-    assert got == want
+    want = _outcome_at_digit_limit(_per_token_parse, text, 0)
+    assert _outcome_at_digit_limit(parse_instance, text, limit) == want
 
 
 _SEVENS = "7" * 5000
