@@ -7,11 +7,9 @@ Exit codes: 0 success, 1 property violation (verify), 2 input error,
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import random
 import sys
-import time
 from bisect import bisect_left
 from collections import Counter
 
@@ -353,6 +351,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import timeit  # here, so that no other command pays for its import
+
     top = args.max_n if args.max_n is not None else MAX_ELEMENTS
     if top < 1024:
         raise InputError("--max-n must be at least 1024 for bench")
@@ -365,18 +365,10 @@ def _cmd_bench(args) -> int:
     n = 1024
     while n <= top:
         inst = Instance(tuple(rng.randint(1, 1 << 30) for _ in range(n)))
-        best = None
-        gc.collect()
-        gc.disable()  # collector pauses would distort the ratio column
-        try:
-            for _ in range(_BENCH_RUNS):
-                t0 = time.perf_counter()
-                stopped_huffman(inst, k)
-                dt = time.perf_counter() - t0
-                if best is None or dt < best:
-                    best = dt
-        finally:
-            gc.enable()
+        # timeit holds the collector off, whose pauses would distort the ratios
+        best = min(
+            timeit.repeat(lambda: stopped_huffman(inst, k), repeat=_BENCH_RUNS, number=1)
+        )
         ratio = (best / prev) if prev else None
         rows.append(
             {

@@ -173,6 +173,15 @@ class SubsetSums:
 # --- operations -------------------------------------------------------
 
 
+def _int_text(x: int) -> str:
+    """x in decimal, or by its sign and bit length where str() refuses it:
+    past the interpreter's digit limit (sys.set_int_max_str_digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+
+
 def _check_weights(ws) -> int:
     """Total of ws, held to the Instance rules; an empty list passes as 0."""
     if len(ws) > MAX_ELEMENTS:
@@ -185,9 +194,11 @@ def _check_weights(ws) -> int:
         raise InputError("weights must be integers")
     if ws:
         if min(ws) < 1:
-            raise InputError(f"weights must be positive, got {min(ws)}")
+            raise InputError(f"weights must be positive, got {_int_text(min(ws))}")
         if max(ws) > MAX_WEIGHT:
-            raise SizeLimitError(f"weight {max(ws)} exceeds the limit of {MAX_WEIGHT}")
+            raise SizeLimitError(
+                f"weight {_int_text(max(ws))} exceeds the limit of {MAX_WEIGHT}"
+            )
     return total
 
 
@@ -196,9 +207,9 @@ def _check_k(k: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool):
         raise InputError(f"k must be an integer, got {k!r}")
     if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+        raise InputError(f"k must be at least 1, got {_int_text(k)}")
     if k > MAX_ELEMENTS:
-        raise SizeLimitError(f"k={k} exceeds the limit of {MAX_ELEMENTS}")
+        raise SizeLimitError(f"k={_int_text(k)} exceeds the limit of {MAX_ELEMENTS}")
 
 
 def _first_occurrence(labels, k: int) -> list[int]:
@@ -307,7 +318,7 @@ def conditional_dist(inst: Instance, p: Partition, label: int) -> Dist:
     if not isinstance(label, int) or isinstance(label, bool):
         raise InputError(f"label must be an integer, got {label!r}")
     if not 0 <= label < p.k:
-        raise InputError(f"label {label} outside [0, {p.k})")
+        raise InputError(f"label {_int_text(label)} outside [0, {p.k})")
     members = tuple(e for e, a in enumerate(p.assignment) if a == label)
     if not members:
         raise InputError(f"group {label} is empty")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from .core import Dist, InputError, Instance, Partition, instance_dist, marginal_dist
+from .core import _int_text
 
 Bits = float
 
@@ -56,7 +57,7 @@ def grouping_identity_residual(d: Dist, r: int) -> float:
     """
     k = len(d.numerators)
     if not 1 <= r <= k - 1:
-        raise InputError(f"split point {r} outside [1, {k - 1}]")
+        raise InputError(f"split point {_int_text(r)} outside [1, {k - 1}]")
     left = d.numerators[:r]
     right = d.numerators[r:]
     ql = sum(left)

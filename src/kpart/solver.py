@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import ne
 
-from .core import Instance, InputError, Partition, SizeLimitError, subset_sums
-from .core import _check_covers, _check_k, _first_occurrence
+from .core import Instance, InputError, Partition, SizeLimitError
+from .core import _check_covers, _check_k, _first_occurrence, _int_text
 from .entropy import _entropy_bits, _min_entropy_bits
 from .huffman import _merge, _merge_cost_sorted
 
@@ -601,7 +601,7 @@ def _partitions_up_to(n: int, k: int) -> int:
     return sum(row)
 
 
-def _sweep(t, w, k: int, objective: str, joined: int = 0):
+def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = None):
     """Score every partition of the sorted positions into <= k blocks.
 
     t is the objective's _slot_table over the ascending weights w. A
@@ -610,7 +610,9 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0):
     slots are mask 0. So each set partition appears exactly once, and an
     unused slot adds the zero sum objectives.py counts for it. joined, a
     mask of positions, keeps only the partitions whose first block holds
-    them too.
+    them too. within, a mask of positions, sweeps those alone, as the
+    whole instance of their weights: the same table entries in the same
+    order, since a submask keeps its positions ascending.
 
     O(1) table lookups per partition. At k >= 4 the third-to-last block is
     placed by the level that reads per-remainder summaries; at k <= 3 every
@@ -623,7 +625,8 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0):
     final best.
     """
     last_two, last_three, fold, agg0, best = _SWEEPS[objective]
-    full = (1 << len(w)) - 1
+    full = (1 << len(w)) - 1 if within is None else within
+    w = [x for p, x in enumerate(w) if full >> p & 1]
     total = sum(w)
     searched = _partitions_up_to(len(w) - joined.bit_count(), k)
     if k == 1:
@@ -781,62 +784,58 @@ def verify_principle_of_optimality(
 ) -> RecombinationReport:
     """Recombine side-optimal subpartitions of entropic optima across label splits.
 
-    For every brute-force entropic optimum and every bipartition of the
-    label set, the two induced element subsets are re-optimized
-    independently with their side's label budget; every cross pairing of
-    side optima is recombined and must reproduce the optimal entropy within
-    1e-9. Splits whose sides hold no elements are counted as degenerate and
-    skipped. Each distinct side, its weights in input order and its label
-    count, is solved once per call. trials, when given, caps the number of
-    recombinations checked; a negative cap raises InputError.
+    For every entropic optimum and every bipartition of its k blocks, the
+    two sides are re-optimized independently with their own label budgets;
+    every cross pairing of side optima is recombined and must reproduce the
+    optimal entropy within 1e-9. Splits with an empty side are counted as
+    degenerate and skipped. One sort and one pair of tables serve every
+    sweep: a side is the union of its blocks' masks, swept once per call
+    and label count exactly as brute_force would sweep its weights alone.
+    trials, when given, caps the number of recombinations checked; a
+    negative cap raises InputError. A capped call stops in sweep order, not
+    brute_force's sorted canonical order, so it may check other pairings.
     """
     if trials is not None and trials < 0:
-        raise InputError(f"trials must be non-negative, got {trials}")
-    res = brute_force(inst, k, "entropy")
-    best = res.best_value
-    total = inst.total
-    # splits of different optima often leave the same elements on one side
-    solved: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+        raise InputError(f"trials must be non-negative, got {_int_text(trials)}")
+    _guard_oracle(len(inst.weights), k)
+    w = sorted(inst.weights)
+    # each subset's sum (k = 2: k = 1 gets no table) and q * log2(q) of it
+    sums = _slot_table(w, 2, "min_max")
+    t = [q * math.log2(q) if q else 0.0 for q in sums]
+    full = len(sums) - 1
+    best, optima, _ = _sweep(t, w, k, "entropy")
+    # splits of different optima often leave the same positions on one side
+    solved: dict[tuple[int, int], list[list[int]]] = {}
 
-    def side_optima(sub: Instance, labels: int) -> list[tuple[int, ...]]:
-        """Subset sums of every entropic optimum of one side, solved once."""
-        key = (sub.weights, labels)
+    def side_optima(side: int, labels: int) -> list[list[int]]:
+        """Subset sums of every entropic optimum of one side, swept once."""
+        key = (side, labels)
         if key not in solved:
-            solved[key] = [
-                subset_sums(sub, g).sums
-                for g in brute_force(sub, labels, "entropy").optimal_partitions
-            ]
+            picks = _sweep(t, w, labels, "entropy", within=side)[1]
+            solved[key] = [[sums[b] for b in blocks] for blocks in picks]
         return solved[key]
 
-    checked = 0
-    violations = 0
-    degenerate = 0
+    checked = violations = degenerate = 0
     max_dev = 0.0
-    for part in res.optimal_partitions:
-        for mask in range(1 << (k - 1), 1 << k):
-            # masks with the top label bit set: each unordered bipartition
-            # of the labels {0..k-1} appears exactly once, no empty side of
-            # labels is possible except mask covering all, skipped below
-            side1 = [lbl for lbl in range(k) if (mask >> lbl) & 1]
-            side2 = [lbl for lbl in range(k) if not (mask >> lbl) & 1]
-            if not side2:
-                continue
-            try:
-                sub1, _ = conditional_subinstance(inst, part, side1)
-                sub2, _ = conditional_subinstance(inst, part, side2)
-            except InputError:
+    for blocks in optima:
+        # masks with the top block bit set, short of all k: each unordered
+        # bipartition of the blocks into two nonempty label sets, once
+        for mask in range(1 << (k - 1), (1 << k) - 1):
+            # the blocks are disjoint, so their sum is their union
+            side = sum(b for j, b in enumerate(blocks) if mask >> j & 1)
+            if side == 0 or side == full:
                 degenerate += 1
                 continue
+            labels = mask.bit_count()
             # a recombination's k sums are its two sides' sums side by side
-            sums1 = side_optima(sub1, len(side1))
-            sums2 = side_optima(sub2, len(side2))
-            for q1 in sums1:
+            sums2 = side_optima(full ^ side, k - labels)
+            for q1 in side_optima(side, labels):
                 for q2 in sums2:
                     if trials is not None and checked >= trials:
                         return RecombinationReport(
                             best, checked, violations, degenerate, max_dev
                         )
-                    h = _entropy_bits(q1 + q2, total)
+                    h = _entropy_bits(q1 + q2, inst.total)
                     dev = abs(h - best)
                     if dev > max_dev:
                         max_dev = dev

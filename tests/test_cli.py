@@ -111,11 +111,21 @@ def test_group_lines_past_the_display_cap(capsys):
     assert "group 3:  (sum 0)" in out.splitlines()
 
 
-def _python(*argv):
+def _python(*argv, check=True):
     env = dict(os.environ, PYTHONPATH=str(Path(kpart.__file__).parent.parent))
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=check
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "-k", "2", "--list", WORKED), ("solve", "-k", "0", "--list", WORKED)],
+    ids=["ok", "input-error"],
+)
+def test_module_entry_point_exits_as_main_returns(capsys, argv):
+    out = _python("-m", "kpart.cli", *argv, check=False)
+    assert (out.returncode, out.stdout, out.stderr) == run(capsys, *argv)
 
 
 def test_importing_the_library_leaves_the_cli_unloaded():
@@ -142,6 +152,15 @@ def test_solve_human_output(capsys):
     assert "22/16" in out
     assert "group 0: 1 1 2 3 (sum 7)" in out
     assert "group 1: 4 5 (sum 9)" in out
+
+
+def test_solve_human_output_flags_a_product_outside_64_bits(capsys):
+    # two sums near 3 * 2**40 multiply past 2**63
+    ws = ",".join(str((1 << 40) - d) for d in (0, 1, 2, 3, 5, 7))
+    code, out, _ = run(capsys, "solve", "-k", "2", "--list", ws)
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("min_diff = ")]
+    assert line.endswith(" (outside 64-bit range)")
 
 
 def test_solve_objectives_need_a_solver(capsys):
@@ -498,6 +517,17 @@ def test_verify_reports_violations_with_exit_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_reports_a_broken_sandwich_with_exit_one(monkeypatch, capsys):
+    # H(X|A) past the code length breaks the sandwich on every case
+    monkeypatch.setattr("kpart.cli.conditional_entropy", lambda inst, part: 1e9)
+    code, out, _ = run(capsys, "verify", "--trials", "2", "--max-n", "5", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    suites = {s["name"]: s for s in payload["suites"]}
+    assert suites["sandwich"] == {"name": "sandwich", "checks": 2, "violations": 2}
+    assert payload["ok"] is False
+
+
 def test_verify_rejects_corrupt_instance_file(tmp_path, capsys):
     f = tmp_path / "broken.txt"
     f.write_text("1 2 oops 4\n")
@@ -616,6 +646,13 @@ def test_bench_human_output(capsys):
     header, *rows = [ln for ln in out.splitlines() if ln.strip()]
     assert header.split() == ["n", "seconds", "ratio"]
     assert len(rows) == 2
+
+
+def test_bench_rejects_max_n_below_its_first_size(capsys):
+    code, out, err = run(capsys, "bench", "--max-n", "1000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-n must be at least 1024 for bench\n"
 
 
 def test_bench_rejects_max_n_past_the_limit_before_any_work(monkeypatch, capsys):

@@ -15,14 +15,19 @@ from kpart import (
     Instance,
     Partition,
     SizeLimitError,
+    SubsetSums,
+    build_huffman,
     compression_cost,
     conditional_dist,
     conditional_subinstance,
     evaluate,
+    grouping_identity_residual,
     instance_dist,
     marginal_dist,
+    merge_cost,
     parse_instance,
     subset_sums,
+    verify_principle_of_optimality,
 )
 
 weights_st = st.lists(st.integers(1, 1000), min_size=1, max_size=24)
@@ -210,6 +215,83 @@ def test_instance_rejects_empty_and_nonint():
         Instance((1, "2"))
 
 
+def _raised_at_digit_limit(call, limit):
+    """(type, message) of the InputError call raises under a digit limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(InputError) as exc:
+            call()
+        return type(exc.value), str(exc.value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# 10**5000 has 16,610 bits and more digits than str() prints by default;
+# 10**1000 has 1,001 digits, which str() prints only above a limit of 640
+_HUGE = "<16610-bit integer>"
+_TOO_BIG = f"weight {_HUGE} exceeds the limit of {MAX_WEIGHT}"
+_DIGIT_LIMITS = [sys.int_info.default_max_str_digits, 640]
+
+
+@pytest.mark.parametrize("limit", _DIGIT_LIMITS)
+@pytest.mark.parametrize(
+    "call, raised",
+    [
+        (lambda: Instance((10**5000,)), (SizeLimitError, _TOO_BIG)),
+        (
+            lambda: Instance((1, -(10**5000))),
+            (InputError, f"weights must be positive, got -{_HUGE}"),
+        ),
+        (lambda: merge_cost([10**5000]), (SizeLimitError, _TOO_BIG)),
+        (lambda: build_huffman([3, 10**5000]), (SizeLimitError, _TOO_BIG)),
+    ],
+    ids=["instance", "instance-negative", "merge_cost", "build_huffman"],
+)
+def test_a_weight_past_the_digit_limit_is_named_by_its_bit_length(call, raised, limit):
+    assert _raised_at_digit_limit(call, limit) == raised
+
+
+@pytest.mark.parametrize("limit", _DIGIT_LIMITS)
+@pytest.mark.parametrize("entry", [Instance, merge_cost, build_huffman])
+def test_a_weight_str_can_print_keeps_its_message(entry, limit):
+    decimal = "1" + "0" * 1000
+    shown = decimal if limit > 1001 else "<3322-bit integer>"
+    assert _raised_at_digit_limit(lambda: entry((3, 10**1000)), limit) == (
+        SizeLimitError,
+        f"weight {shown} exceeds the limit of {MAX_WEIGHT}",
+    )
+    assert _raised_at_digit_limit(lambda: entry((3, -(10**1000))), limit) == (
+        InputError,
+        f"weights must be positive, got -{shown}",
+    )
+
+
+@pytest.mark.parametrize("limit", _DIGIT_LIMITS)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Partition((0,), 10**5000), f"k={_HUGE} exceeds the limit of {MAX_ELEMENTS}"),
+        (lambda: Partition((0,), -(10**5000)), f"k must be at least 1, got -{_HUGE}"),
+        (
+            lambda: conditional_dist(Instance((1,)), Partition((0,), 1), 10**5000),
+            f"label {_HUGE} outside [0, 1)",
+        ),
+        (
+            lambda: grouping_identity_residual(Dist((1, 1), 2), 10**5000),
+            f"split point {_HUGE} outside [1, 1]",
+        ),
+        (
+            lambda: verify_principle_of_optimality(Instance((1, 2)), 2, -(10**5000)),
+            f"trials must be non-negative, got -{_HUGE}",
+        ),
+    ],
+    ids=["k", "k-negative", "label", "split-point", "trials"],
+)
+def test_other_integers_past_the_digit_limit_are_named_by_bit_length(call, message, limit):
+    assert _raised_at_digit_limit(call, limit)[1] == message
+
+
 # --- partitions ---------------------------------------------------------
 
 
@@ -300,6 +382,11 @@ def test_partition_json_round_trip():
         Partition.from_json_dict({"k": "2", "assignment": [0]})
 
 
+def test_partition_json_rejects_a_label_that_is_not_an_int():
+    with pytest.raises(InputError, match="assignment must be a list of integers"):
+        Partition.from_json_dict({"k": 2, "assignment": [0, "1"]})
+
+
 # --- subset sums --------------------------------------------------------
 
 
@@ -320,6 +407,12 @@ def test_subset_sums_keeps_empty_slots():
 def test_subset_sums_length_mismatch():
     with pytest.raises(InputError):
         subset_sums(Instance((1, 2)), Partition((0,), 1))
+
+
+def test_subset_sums_must_conserve_the_total():
+    assert SubsetSums((1, 2), 3).sums == (1, 2)
+    with pytest.raises(InputError, match="must conserve the instance total"):
+        SubsetSums((1, 2), 4)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +465,11 @@ def test_dist_validation():
         Dist((4,), 0)
     with pytest.raises(InputError):
         Dist((4,), 4, members=(0, 1))
+
+
+def test_dist_needs_an_entry():
+    with pytest.raises(InputError, match="needs at least one entry"):
+        Dist((), 1)
 
 
 def test_marginal_and_conditional_examples(worked_instance):

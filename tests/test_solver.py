@@ -16,6 +16,7 @@ from kpart import (
     MAX_WEIGHT,
     MAX_ORACLE_N,
     OBJECTIVES,
+    Dist,
     InputError,
     Instance,
     Lemma2Report,
@@ -701,6 +702,17 @@ def test_recombination_respects_trials_cap(worked_instance):
     assert rep.ok
 
 
+def test_recombination_counts_pairings_off_the_best(monkeypatch, worked_instance):
+    # every recombination is scored 1e-6 bits above the sweep's best
+    exact = solver._entropy_bits
+    monkeypatch.setattr(solver, "_entropy_bits", lambda q, m: exact(q, m) + 1e-6)
+    rep = verify_principle_of_optimality(worked_instance, 3)
+    assert rep.recombinations_checked > 0
+    assert rep.violations == rep.recombinations_checked
+    assert rep.max_deviation == pytest.approx(1e-6, rel=1e-6)
+    assert not rep.ok
+
+
 @pytest.mark.parametrize("trials", [-1, -5])
 def test_recombination_rejects_a_negative_trials_cap(worked_instance, trials):
     with pytest.raises(InputError, match="trials must be non-negative"):
@@ -734,6 +746,79 @@ def test_recombination_small_sweep():
 def test_recombination_reports_are_exact(ws, k, trials, expected):
     rep = verify_principle_of_optimality(Instance(ws), k, trials)
     assert rep == RecombinationReport(*expected)
+
+
+def test_recombination_makes_no_sub_instance(monkeypatch):
+    # the pinned reports come from the instance's own sweep alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem1 left the instance's own tables")
+
+    monkeypatch.setattr(solver, "brute_force", refuse)
+    monkeypatch.setattr(solver, "conditional_subinstance", refuse)
+    assert not hasattr(solver, "subset_sums")
+    (cases,) = test_recombination_reports_are_exact.pytestmark
+    for ws, k, trials, expected in cases.args[1]:
+        test_recombination_reports_are_exact(ws, k, trials, expected)
+
+
+def _recombination_reference(inst, k):
+    """verify_principle_of_optimality, uncapped, by the round trip: each
+    side of a split is its own Instance, solved by brute_force and mapped
+    back to subset sums."""
+    res = brute_force(inst, k, "entropy")
+    best = res.best_value
+    checked = violations = degenerate = 0
+    max_dev = 0.0
+    for part in res.optimal_partitions:
+        for mask in range(1 << (k - 1), (1 << k) - 1):
+            sides = []
+            for labels in (
+                [lbl for lbl in range(k) if mask >> lbl & 1],
+                [lbl for lbl in range(k) if not mask >> lbl & 1],
+            ):
+                try:
+                    sub, _ = conditional_subinstance(inst, part, labels)
+                except InputError:
+                    break
+                optima = brute_force(sub, len(labels), "entropy").optimal_partitions
+                sides.append([subset_sums(sub, g).sums for g in optima])
+            if len(sides) < 2:
+                degenerate += 1
+                continue
+            for q1 in sides[0]:
+                for q2 in sides[1]:
+                    dev = abs(shannon_entropy(Dist(q1 + q2, inst.total)) - best)
+                    max_dev = max(max_dev, dev)
+                    violations += dev > 1e-9
+                    checked += 1
+    return RecombinationReport(best, checked, violations, degenerate, max_dev)
+
+
+def _recombination_cases():
+    """Seeded instances with k in 1..6 (k > n too, which leaves empty
+    labels), in four weight shapes: ties drawn from 1..4 and from 1..30,
+    log-uniform weights to 2**40, and near-ties just under 2**40. Both of
+    the last two put false optima in the entropy band; near-ties hold so
+    many that n stops at 6 for them, and 9 for the others."""
+    rng = random.Random("solver:recombination")
+    for i in range(240):
+        shape = i % 4
+        n = rng.randint(1, 6 if shape == 3 else 9)
+        if shape < 2:
+            ws = [rng.randint(1, (4, 30)[shape]) for _ in range(n)]
+        else:
+            ws = _oracle_weights(rng, n, shape)
+        yield Instance(tuple(ws)), rng.randint(1, 6)
+
+
+def test_recombination_matches_the_round_trip():
+    reports = []
+    for inst, k in _recombination_cases():
+        reports.append(_recombination_reference(inst, k))
+        assert verify_principle_of_optimality(inst, k) == reports[-1], (inst, k)
+    # the corpus reaches the band's false violations and empty label sides
+    assert any(rep.violations for rep in reports)
+    assert any(rep.degenerate_splits for rep in reports)
 
 
 # --- conditional subinstances -----------------------------------------------
