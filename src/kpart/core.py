@@ -202,10 +202,15 @@ def _check_weights(ws) -> int:
     return total
 
 
+def _check_int(name: str, x) -> None:
+    """Reject x unless it is an int and not a bool; the message calls it name."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InputError(f"{name} must be an integer, got {x!r}")
+
+
 def _check_k(k: int) -> None:
     """Reject a group count that is not an integer in [1, MAX_ELEMENTS]."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InputError(f"k must be an integer, got {k!r}")
+    _check_int("k", k)
     if k < 1:
         raise InputError(f"k must be at least 1, got {_int_text(k)}")
     if k > MAX_ELEMENTS:
@@ -315,8 +320,7 @@ def conditional_dist(inst: Instance, p: Partition, label: int) -> Dist:
     that is not an int in [0, k).
     """
     _check_covers(inst, p)
-    if not isinstance(label, int) or isinstance(label, bool):
-        raise InputError(f"label must be an integer, got {label!r}")
+    _check_int("label", label)
     if not 0 <= label < p.k:
         raise InputError(f"label {_int_text(label)} outside [0, {p.k})")
     members = tuple(e for e, a in enumerate(p.assignment) if a == label)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 
-from .core import Dist, InputError, Instance, Partition, instance_dist, marginal_dist
-from .core import _int_text
+from .core import Dist, InputError, Instance, Partition, subset_sums
+from .core import _check_int, _int_text
 
 Bits = float
 
@@ -43,7 +43,8 @@ def conditional_entropy(inst: Instance, p: Partition) -> Bits:
     A = f(X) is a function of X, so conditioning on the group label removes
     exactly H(A) bits of uncertainty.
     """
-    h = shannon_entropy(instance_dist(inst)) - shannon_entropy(marginal_dist(inst, p))
+    total = inst.total
+    h = _entropy_bits(inst.weights, total) - _entropy_bits(subset_sums(inst, p).sums, total)
     return h if h > 0.0 else 0.0
 
 
@@ -55,6 +56,7 @@ def grouping_identity_residual(d: Dist, r: int) -> float:
     entropies of the two conditional halves. Test-suite helper; the residual
     should vanish up to float noise.
     """
+    _check_int("split point", r)
     k = len(d.numerators)
     if not 1 <= r <= k - 1:
         raise InputError(f"split point {_int_text(r)} outside [1, {k - 1}]")

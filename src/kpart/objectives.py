@@ -10,7 +10,7 @@ compression ignore empty groups via the 0 * log 0 = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import Instance, Partition, _check_covers, subset_sums
 from .entropy import _entropy_bits, _min_entropy_bits
@@ -42,17 +42,7 @@ class ObjectiveReport:
     subset_sums: tuple[int, ...] = field(compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_diff": self.min_diff,
-            "min_max": self.min_max,
-            "max_min": self.max_min,
-            "entropy_bits": self.entropy_bits,
-            "min_entropy_bits": self.min_entropy_bits,
-            "product_of_sums": self.product_of_sums,
-            "product_overflow": self.product_overflow,
-            "compression_numerator": self.compression_numerator,
-            "compression_bits": self.compression_bits,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def compression_cost(inst: Instance, p: Partition) -> int:

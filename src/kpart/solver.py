@@ -19,9 +19,11 @@ At k >= 4 the same remainder, the positions left for the last two blocks,
 recurs under many choices of the blocks before them: 1,024 remainders
 under 88,574 choices at n = 12, k = 4. So the level that places the
 third-to-last block sweeps each remainder's last two blocks once on their
-own into a summary, kept in a list indexed by the remainder's mask, and
-settles each choice from it, scanning the last two blocks only when the
-summary cannot decide. At k <= 3 each remainder occurs once, so a summary
+own into a summary, kept in a list indexed by the remainder's mask. For
+compression, product_of_sums and min_max the summary settles most choices,
+and the last two blocks are scanned only when it cannot decide. For
+min_diff and entropy it only bounds a choice, and the choices that pass
+the bound are scanned. At k <= 3 each remainder occurs once, so a summary
 would only add a sweep, and those sweeps scan directly.
 """
 
@@ -31,11 +33,12 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, count, islice, repeat
 from operator import ne
 
 from .core import Instance, InputError, Partition, SizeLimitError
-from .core import _check_covers, _check_k, _first_occurrence, _int_text
+from .core import _check_covers, _check_int, _check_k, _first_occurrence, _int_text
 from .entropy import _entropy_bits, _min_entropy_bits
 from .huffman import _merge, _merge_cost_sorted
 
@@ -409,7 +412,8 @@ def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
 # a summary of r's last two blocks swept alone, with the neutral agg: m,
 # their best value, and for the objectives whose ties it settles, the
 # splits that reach it. A choice runs the scan below only when the summary
-# cannot settle it.
+# cannot settle it; for min_diff and entropy, whose summary keeps m alone
+# as a bound, only when that bound does not rule the choice out.
 
 
 def _summary(last_two, t, total, r, agg0, best0):
@@ -498,32 +502,23 @@ def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
 def _last_three_min_diff(t, total, low, r2, pre, agg, best, picks, summ):
     # the last two sums x <= y add up to t[r], so a split's score
     # max(hi, y) - min(lo, x), with hi and lo the extremes of agg and t[b],
-    # grows with y - x and is least at the summary's splits, where
-    # y - x = m. If y >= hi or x <= lo there, any wider split scores more,
-    # so the summary's splits are the only ties; otherwise every split with
-    # y <= hi and x >= lo ties at hi - lo, and only a scan finds them
+    # does not fall as y - x grows and is least at the summary's y - x = m.
+    # A choice whose least score is over the best holds no tie, and gets no
+    # scan; the scan finds every tie of the rest
     hi0, lo0 = agg
     s = r2
     while True:
         b = low | s
         r = r2 ^ s
-        e = summ[r]
-        if e is None:
-            e = summ[r] = _summary(_last_two_min_diff, t, total, r, (0, math.inf), math.inf)
+        m = summ[r]
+        if m is None:
+            m = summ[r] = _summary(_last_two_min_diff, t, total, r, (0, math.inf), math.inf)[0]
         q = t[b]
         hi = hi0 if hi0 > q else q
         lo = lo0 if lo0 < q else q
-        y = (t[r] + e[0]) >> 1
+        y = (t[r] + m) >> 1
         x = t[r] - y
-        if y >= hi or x <= lo:
-            v = (y if y > hi else hi) - (x if x < lo else lo)
-            if v <= best:
-                if v < best:
-                    best = v
-                    picks.clear()
-                head = pre + (b,)
-                picks += [head + split for split in e[1]]
-        elif hi - lo <= best:
+        if (y if y > hi else hi) - (x if x < lo else lo) <= best:
             low_r = r & -r
             best = _last_two_min_diff(
                 t, total, low_r, r ^ low_r, pre + (b,), (hi, lo), best, picks
@@ -615,14 +610,15 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = N
     order, since a submask keeps its positions ascending.
 
     O(1) table lookups per partition. At k >= 4 the third-to-last block is
-    placed by the level that reads per-remainder summaries; at k <= 3 every
-    remainder occurs once, so a summary would only add a sweep. Returns
-    (best, picks, searched), with picks the block-mask tuples of every
-    optimum and searched the number of partitions scored: those into <= k
-    blocks of the positions, with the joined ones fused into one element.
-    For entropy, the kept candidates are pruned to the band below the
-    best each time it rises, so the last prune settles them against the
-    final best.
+    placed by the level that reads per-remainder summaries, which settle a
+    choice for compression, product_of_sums and min_max and bound it before
+    a scan for min_diff and entropy; at k <= 3 every remainder occurs once,
+    so a summary would only add a sweep. Returns (best, picks, searched),
+    with picks the block-mask tuples of every optimum and searched the
+    number of partitions scored: those into <= k blocks of the positions,
+    with the joined ones fused into one element. For entropy, the kept
+    candidates are pruned to the band below the best each time it rises,
+    so the last prune settles them against the final best.
     """
     last_two, last_three, fold, agg0, best = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
@@ -685,13 +681,15 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     Sorts the elements by weight, fills one table of per-block terms over
     all 2**n subsets (O(2**n) work, skipped at k = 1), then scores every
     partition with O(1) lookups in it and returns every optimum. At k >= 4
-    the last two blocks are scored from one summary per remainder, built
-    once, instead of a scan under every prefix; at k <= 3 every remainder
-    occurs once and is scanned directly. Exact
-    integer objectives compare exactly; entropy keeps every partition within
-    1e-9 of the best. Two objectives reduce exactly to min_max, the largest
-    subset sum: min_entropy is a decreasing function of it, and max_min is
-    minus min_max over the negated weights. Guarded to n <= 14 and k <= 6.
+    one summary per remainder, built once, settles the last two blocks
+    under every prefix for compression, product_of_sums and min_max, and
+    bounds them for min_diff and entropy, which scan only the prefixes the
+    bound leaves; at k <= 3 every remainder occurs once and is scanned
+    directly. Exact integer objectives compare exactly; entropy keeps every
+    partition within 1e-9 of the best. Two objectives reduce exactly to
+    min_max, the largest subset sum: min_entropy is a decreasing function
+    of it, and max_min is minus min_max over the negated weights. Guarded
+    to n <= 14 and k <= 6.
     """
     if objective not in OBJECTIVES:
         raise InputError(
@@ -749,6 +747,7 @@ def verify_lemma2(inst: Instance, k: int) -> Lemma2Report:
     and 1, the two smallest weights, each with O(1) lookups per partition.
     partitions_searched counts the first sweep. Requires n > k.
     """
+    _check_k(k)
     n = len(inst.weights)
     if n <= k:
         raise InputError(f"requires n > k, got n={n} and k={k}")
@@ -770,6 +769,9 @@ def conditional_subinstance(
     rejected.
     """
     _check_covers(inst, p)
+    labels = list(labels)
+    for label in labels:
+        _check_int("label", label)
     lset = set(labels)
     if not lset or not lset.issubset(range(p.k)):
         raise InputError("labels must be a nonempty subset of range(k)")
@@ -791,29 +793,29 @@ def verify_principle_of_optimality(
     degenerate and skipped. One sort and one pair of tables serve every
     sweep: a side is the union of its blocks' masks, swept once per call
     and label count exactly as brute_force would sweep its weights alone.
-    trials, when given, caps the number of recombinations checked; a
-    negative cap raises InputError. A capped call stops in sweep order, not
-    brute_force's sorted canonical order, so it may check other pairings.
+    trials, when given, caps the number of recombinations checked; a cap
+    that is not an int, or is negative, raises InputError. A capped call
+    stops in sweep order, not brute_force's sorted canonical order, so it
+    may check other pairings.
     """
-    if trials is not None and trials < 0:
-        raise InputError(f"trials must be non-negative, got {_int_text(trials)}")
+    if trials is not None:
+        _check_int("trials", trials)
+        if trials < 0:
+            raise InputError(f"trials must be non-negative, got {_int_text(trials)}")
     _guard_oracle(len(inst.weights), k)
     w = sorted(inst.weights)
-    # each subset's sum (k = 2: k = 1 gets no table) and q * log2(q) of it
-    sums = _slot_table(w, 2, "min_max")
-    t = [q * math.log2(q) if q else 0.0 for q in sums]
-    full = len(sums) - 1
+    # at k = 1 both are None: that sweep reads no table, and nothing splits
+    sums = _slot_table(w, k, "min_max")
+    t = _slot_table(w, k, "entropy")
+    full = (1 << len(w)) - 1
     best, optima, _ = _sweep(t, w, k, "entropy")
-    # splits of different optima often leave the same positions on one side
-    solved: dict[tuple[int, int], list[list[int]]] = {}
 
+    # splits of different optima often leave the same positions on one side
+    @cache
     def side_optima(side: int, labels: int) -> list[list[int]]:
         """Subset sums of every entropic optimum of one side, swept once."""
-        key = (side, labels)
-        if key not in solved:
-            picks = _sweep(t, w, labels, "entropy", within=side)[1]
-            solved[key] = [[sums[b] for b in blocks] for blocks in picks]
-        return solved[key]
+        picks = _sweep(t, w, labels, "entropy", within=side)[1]
+        return [[sums[b] for b in blocks] for blocks in picks]
 
     checked = violations = degenerate = 0
     max_dev = 0.0

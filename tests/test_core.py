@@ -2,11 +2,13 @@
 
 import re
 import sys
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kpart
 from kpart import (
     MAX_ELEMENTS,
     MAX_WEIGHT,
@@ -27,6 +29,7 @@ from kpart import (
     merge_cost,
     parse_instance,
     subset_sums,
+    verify_lemma2,
     verify_principle_of_optimality,
 )
 
@@ -492,6 +495,43 @@ def test_conditional_dist_rejects_a_label_that_is_not_an_int(worked_instance, la
     p = Partition((0, 0, 0, 0, 1, 1), 2)
     with pytest.raises(InputError, match="label must be an integer"):
         conditional_dist(worked_instance, p, label)
+
+
+# an integer argument of four public entry points, by the name their
+# message gives it
+_INT_ARGUMENTS = {
+    "split point": lambda x: grouping_identity_residual(Dist((1, 1, 2), 4), x),
+    "label": lambda x: conditional_subinstance(
+        Instance((1, 2, 3)), Partition((0, 1, 1), 2), [x]
+    ),
+    "trials": lambda x: verify_principle_of_optimality(Instance((1, 2, 3)), 2, x),
+    "k": lambda x: verify_lemma2(Instance((1, 2, 3)), x),
+}
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        (name, bad)
+        for name in _INT_ARGUMENTS
+        for bad in ("3", 1.0, True, None, [1])
+        if (name, bad) != ("trials", None)  # None is the uncapped default
+    ],
+)
+def test_entry_points_reject_an_argument_that_is_not_an_int(name, bad):
+    with pytest.raises(InputError) as exc:
+        _INT_ARGUMENTS[name](bad)
+    assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
+
+
+def test_all_names_every_public_binding():
+    bound = {
+        name
+        for name, value in vars(kpart).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(kpart.__all__) - {"__version__"}
+    assert len(kpart.__all__) == len(set(kpart.__all__))
 
 
 def test_instance_dist(worked_instance):
