@@ -1,13 +1,16 @@
 """Command-line front end: solve, trace, oracle, verify, and bench.
 
 Exit codes: 0 success, 1 property violation (verify), 2 input error,
-3 size-guard violation.
+3 size-guard violation, 141 stdout closed by its reader before all output
+was written, as in `kpart solve ... | head` (128 + SIGPIPE, the code a
+shell gives a process that signal kills).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from bisect import bisect_left
@@ -472,7 +475,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; stdout goes to os.devnull so the
+        # flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

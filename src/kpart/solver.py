@@ -25,17 +25,25 @@ and the last two blocks are scanned only when it cannot decide. For
 min_diff and entropy it only bounds a choice, and the choices that pass
 the bound are scanned. At k <= 3 each remainder occurs once, so a summary
 would only add a sweep, and those sweeps scan directly.
+
+The sweep is a branch and bound: it starts from a greedy partition's
+score and skips each remainder whose bound, read off the subset sums, is
+strictly worse than the best so far. brute_force keeps each optimum as
+one integer, its canonical assignment in base 8 (a restricted growth
+string), and builds its Partition only when it is read.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress, count, islice, repeat
-from operator import ne
+from operator import mul, ne
 
 from .core import Instance, InputError, Partition, SizeLimitError
 from .core import _check_covers, _check_int, _check_k, _first_occurrence, _int_text
@@ -121,17 +129,63 @@ class MergeTrace:
         return f"MergeTrace(steps={len(self._left)}, final_list={self.final_list!r})"
 
 
+_OCTAL = bytes.maketrans(b"01234567", bytes(range(8)))
+
+
+class _Optima(Sequence):
+    """Read-only sequence of oracle optima, each kept as one integer: the
+    canonical assignment over n elements in base 8, first element most
+    significant, in an ascending array('Q'). Reading an optimum builds its
+    Partition; the sequence equals, and hashes as, the tuple of them."""
+
+    def __init__(self, keys: array, n: int, k: int):
+        self._keys, self._digits, self._k = keys, f"0{n}o", k
+
+    def _partition(self, key: int) -> Partition:
+        # n octal digits, leading zeros kept, are canonical labels below k,
+        # so the Partition is built without its input checks
+        part = object.__new__(Partition)
+        labels = format(key, self._digits).encode().translate(_OCTAL)
+        part.__dict__.update(assignment=tuple(labels), k=self._k)
+        return part
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._partition, self._keys[i]))
+        return self._partition(self._keys[i])
+
+    def __iter__(self):
+        return map(self._partition, self._keys)
+
+    def __eq__(self, other: object):
+        if not isinstance(other, (tuple, _Optima)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class OracleResult:
     """Outcome of one exhaustive sweep.
 
     optimal_partitions holds every optimum in canonical labels, sorted so
-    the lexicographically smallest assignment comes first.
+    the lexicographically smallest assignment comes first; brute_force
+    gives a read-only sequence that builds each Partition as it is read.
+    partitions_searched counts every partition covered, whether the sweep
+    scored it or a bound ruled it out.
     """
 
     objective: str
     best_value: object
-    optimal_partitions: tuple[Partition, ...]
+    optimal_partitions: Sequence[Partition]
     partitions_searched: int
 
 
@@ -556,35 +610,67 @@ def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
 
 
 # objective -> (innermost level, the level above it, fold of one more
-# block's term into agg, agg before any block, a value every partition
-# beats or ties). max_min has no entry: brute_force sweeps it as min_max
-# over the negated weights, whose sums are all <= 0, so min_max's agg
-# starts below every sum
+# block's term into agg, agg before any block). max_min has no entry:
+# brute_force sweeps it as min_max over the negated weights, whose sums are
+# all <= 0, so min_max's agg starts below every sum
 _SWEEPS = {
-    "compression": (
-        _last_two_compression,
-        _last_three_compression,
-        int.__add__,
-        0,
-        math.inf,
-    ),
-    "min_max": (_last_two_min_max, _last_three_min_max, max, -math.inf, math.inf),
+    "compression": (_last_two_compression, _last_three_compression, int.__add__, 0),
+    "min_max": (_last_two_min_max, _last_three_min_max, max, -math.inf),
     "min_diff": (
         _last_two_min_diff,
         _last_three_min_diff,
         lambda agg, q: (max(agg[0], q), min(agg[1], q)),
         (0, math.inf),
-        math.inf,
     ),
-    "product_of_sums": (_last_two_product, _last_three_product, int.__mul__, 1, -1),
-    "entropy": (
-        _last_two_entropy,
-        _last_three_entropy,
-        lambda agg, f: (*agg, f),
-        (),
-        -1.0,
-    ),
+    "product_of_sums": (_last_two_product, _last_three_product, int.__mul__, 1),
+    "entropy": (_last_two_entropy, _last_three_entropy, lambda agg, f: (*agg, f), ()),
 }
+
+
+def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
+    """Whether a level placing a block before the last two may skip
+    remainder r, with j slots left after the prefix folded into agg: a
+    proven bound on r's best completion, from R = s[r], its subset sum,
+    is strictly worse than best."""
+    R = s[r]
+    if objective == "compression":
+        # merging the j blocks' Huffman trees into one for r costs at most
+        # (j - 1) * R, and no tree for r costs less than t[r]
+        return agg + t[r] - (j - 1) * R > best
+    if objective == "product_of_sums":
+        # AM-GM: j sums that add up to R multiply to at most (R / j) ** j
+        return agg * R**j < best * j**j
+    if objective == "entropy":
+        # q * log2(q) is convex, so the j terms add up to R * log2(R / j) or
+        # more. The cut is _last_three_entropy's, whose extra 1e-12 * total
+        # of slack covers the rounding on both sides
+        cut = (math.log2(total) - (best - _ENTROPY_TOL) + 1e-12) * total + 1e-12 * total
+        return sum(agg) + (R * math.log2(R / j) if R else 0.0) > cut
+    # some block holds ceil(R / j) or more, and some floor(R / j) or less,
+    # among max_min's negated sums too
+    if objective == "min_max":
+        return max(agg, -(-R // j)) > best
+    return max(agg[0], -(-R // j)) - min(agg[1], R // j) > best
+
+
+def _incumbent(t, w, total, k: int, objective: str, first: int, rest: int):
+    """Score, as the innermost level scores it, of a largest-first greedy
+    partition: block 0 starts as the mask first, and each position of the
+    mask rest, from the top down, joins the lowest block nearest sum 0."""
+    blocks = [first] + [0] * (k - 1)
+    sums = [sum(x for p, x in enumerate(w) if first >> p & 1)] + [0] * (k - 1)
+    for p in reversed(range(len(w))):
+        if rest >> p & 1:
+            i = sums.index(min(sums, key=abs))
+            blocks[i] |= 1 << p
+            sums[i] += w[p]
+    _, _, fold, agg = _SWEEPS[objective]
+    for b in blocks:
+        agg = fold(agg, t[b])
+    if objective == "entropy":
+        h = math.log2(total) - math.fsum(agg) / total
+        return 0.0 if h < 0.0 else h
+    return agg[0] - agg[1] if objective == "min_diff" else agg
 
 
 def _partitions_up_to(n: int, k: int) -> int:
@@ -597,7 +683,8 @@ def _partitions_up_to(n: int, k: int) -> int:
 
 
 def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = None):
-    """Score every partition of the sorted positions into <= k blocks.
+    """Find every optimum among the partitions of the sorted positions
+    into <= k blocks.
 
     t is the objective's _slot_table over the ascending weights w. A
     partition is k block masks: block j holds the lowest position no
@@ -609,26 +696,31 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = N
     whole instance of their weights: the same table entries in the same
     order, since a submask keeps its positions ascending.
 
-    O(1) table lookups per partition. At k >= 4 the third-to-last block is
-    placed by the level that reads per-remainder summaries, which settle a
-    choice for compression, product_of_sums and min_max and bound it before
-    a scan for min_diff and entropy; at k <= 3 every remainder occurs once,
-    so a summary would only add a sweep. Returns (best, picks, searched),
-    with picks the block-mask tuples of every optimum and searched the
-    number of partitions scored: those into <= k blocks of the positions,
-    with the joined ones fused into one element. For entropy, the kept
-    candidates are pruned to the band below the best each time it rises,
-    so the last prune settles them against the final best.
+    The best starts at a greedy partition's score from this same family,
+    so no tie at a worse value is kept, and each level that places a
+    block before the last two skips a remainder that _skip rules out on
+    the subset sums (t itself, or one more O(2**n) table for compression
+    and entropy). At k >= 4 the third-to-last block is placed by the level
+    that reads per-remainder summaries, which settle a choice for
+    compression, product_of_sums and min_max and bound it before a scan
+    for min_diff and entropy; at k <= 3 every remainder occurs once, so a
+    summary would only add a sweep. Returns (best, picks, searched), with
+    picks the block-mask tuples of every optimum in sweep order and
+    searched the partitions covered, scored or skipped: those into <= k
+    blocks of the positions, with the joined ones fused into one element.
+    For entropy, the kept candidates are pruned to the band below the best
+    each time it rises, so the last prune settles them against the final
+    best.
     """
-    last_two, last_three, fold, agg0, best = _SWEEPS[objective]
+    last_two, last_three, fold, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
-    w = [x for p, x in enumerate(w) if full >> p & 1]
-    total = sum(w)
-    searched = _partitions_up_to(len(w) - joined.bit_count(), k)
+    members = [x for p, x in enumerate(w) if full >> p & 1]
+    total = sum(members)
+    searched = _partitions_up_to(len(members) - joined.bit_count(), k)
     if k == 1:
         # one partition, every position in one block
         if objective == "compression":
-            best = _merge_cost_sorted(w)
+            best = _merge_cost_sorted(members)
         elif objective == "entropy":
             best = _entropy_bits((total,), total)
         elif objective == "min_diff":
@@ -636,6 +728,11 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = N
         else:
             best = total
         return best, [(full,)], searched
+    first = (full & -full) | joined
+    best = _incumbent(t, w, total, k, objective, first, full ^ first)
+    sums = t
+    if k > 2 and objective in ("compression", "entropy"):
+        sums = _slot_table(w, k, "min_max")
     picks: list = []
     summ = [None] * (full + 1) if k > 3 else None
 
@@ -652,7 +749,10 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = N
         s = r2
         while True:
             b = low | s
-            place(r2 ^ s, slots - 1, pre + (b,), fold(agg, t[b]), 0)
+            r = r2 ^ s
+            a = fold(agg, t[b])
+            if not _skip(objective, t, sums, total, a, r, slots - 1, best):
+                place(r, slots - 1, pre + (b,), a, 0)
             if not s:
                 return
             s = (s - 1) & r2
@@ -663,33 +763,25 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = N
     return best, picks, searched
 
 
-def _to_original_partition(blocks, order, k: int) -> Partition:
-    """Map block masks over sorted positions to a canonical Partition of the input."""
-    orig = [0] * len(order)  # block 0's label already
-    for label, m in enumerate(blocks[1:], 1):
-        while m:
-            low = m & -m
-            orig[order[low.bit_length() - 1]] = label
-            m ^= low
-    perm = _first_occurrence(orig, k)
-    return Partition(tuple(map(perm.__getitem__, orig)), k)
-
-
 def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     """Exhaustively optimize one objective over all partitions into <= k blocks.
 
     Sorts the elements by weight, fills one table of per-block terms over
-    all 2**n subsets (O(2**n) work, skipped at k = 1), then scores every
-    partition with O(1) lookups in it and returns every optimum. At k >= 4
-    one summary per remainder, built once, settles the last two blocks
-    under every prefix for compression, product_of_sums and min_max, and
-    bounds them for min_diff and entropy, which scan only the prefixes the
-    bound leaves; at k <= 3 every remainder occurs once and is scanned
-    directly. Exact integer objectives compare exactly; entropy keeps every
-    partition within 1e-9 of the best. Two objectives reduce exactly to
-    min_max, the largest subset sum: min_entropy is a decreasing function
-    of it, and max_min is minus min_max over the negated weights. Guarded
-    to n <= 14 and k <= 6.
+    all 2**n subsets (O(2**n) work, skipped at k = 1), then sweeps the
+    partitions with O(1) lookups in it, from a greedy partition's score,
+    skipping each remainder that a bound on its subset sum proves worse
+    than the best so far; partitions_searched counts every partition
+    covered, scored or ruled out. At k >= 4 one summary per remainder,
+    built once, settles the last two blocks under every prefix for
+    compression, product_of_sums and min_max, and bounds them for
+    min_diff and entropy. Exact integer objectives compare exactly;
+    entropy keeps every partition within 1e-9 of the best. Two objectives
+    reduce exactly to min_max, the largest subset sum: min_entropy is a
+    decreasing function of it, and max_min is minus min_max over the
+    negated weights. Each optimum is kept as one integer, its canonical
+    assignment in base 8, read off one more O(2**n) table of each mask's
+    digits; sorting the integers sorts the assignments. Guarded to
+    n <= 14 and k <= 6.
     """
     if objective not in OBJECTIVES:
         raise InputError(
@@ -707,11 +799,18 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
         best = -best
     elif objective == "min_entropy":
         best = _min_entropy_bits(best, inst.total)
-    parts = sorted(
-        (_to_original_partition(blocks, order, k) for blocks in picks),
-        key=lambda p: p.assignment,
+    # digits[b] has an octal 1 at the original index of each member of b.
+    # Of disjoint blocks, the one holding the lowest index has the largest
+    # digits, so descending digits take the canonical labels 0, 1, ...
+    digits = [0]
+    for e in order:
+        d = 1 << 3 * (n - 1 - e)
+        digits += [x + d for x in digits]
+    keys = sorted(
+        sum(map(mul, count(), sorted(map(digits.__getitem__, blocks), reverse=True)))
+        for blocks in picks
     )
-    return OracleResult(objective, best, tuple(parts), searched)
+    return OracleResult(objective, best, _Optima(array("Q", keys), n, k), searched)
 
 
 # --- baseline ----------------------------------------------------------

@@ -391,6 +391,69 @@ def test_oracle_human_output(capsys, weights, objective):
     assert out == ORACLE_HUMAN[weights, objective]
 
 
+# recorded output of the README's two oracle examples, which read their
+# optima from brute_force's packed sequence; test_oracle_human_output holds
+# the human output of the first
+README_ORACLE = {
+    ("oracle", "-k", "2", "--list", WORKED, "--objective", "compression", "--json"): (
+        '{"instance":[1,1,2,3,4,5],"k":2,"objective":"compression",'
+        '"partition":{"k":2,"assignment":[0,0,0,0,1,1]},"subset_sums":[7,9],'
+        '"report":{"min_diff":2,"min_max":9,"max_min":7,"entropy_bits":0.9886994082884977,'
+        '"min_entropy_bits":0.8300749985576878,"product_of_sums":63,'
+        '"product_overflow":false,"compression_numerator":22,"compression_bits":1.375},'
+        '"oracle":{"best_value":22,"optima_count":3,"partitions_searched":32,'
+        '"optimal_assignments":[[0,0,0,0,1,1],[0,0,0,1,0,1],[0,0,0,1,1,0]]}}\n'
+    ),
+    ("solve", "-k", "2", "--list", WORKED, "--objective", "entropy", "--oracle"): """\
+instance: 1 1 2 3 4 5 (n=6, M=16)
+method: oracle, k=2, objective=entropy
+group 0: 1 1 2 4 (sum 8)
+group 1: 3 5 (sum 8)
+L(X|A) = 22/16 = 1.375
+H(A) = 1 bits, H_inf(A) = 1 bits
+min_diff = 0, min_max = 8, max_min = 8, product_of_sums = 64
+""",
+    ("solve", "-k", "2", "--list", WORKED, "--objective", "entropy", "--oracle", "--json"): (
+        '{"instance":[1,1,2,3,4,5],"k":2,"objective":"entropy",'
+        '"partition":{"k":2,"assignment":[0,0,0,1,0,1]},"subset_sums":[8,8],'
+        '"report":{"min_diff":0,"min_max":8,"max_min":8,"entropy_bits":1.0,'
+        '"min_entropy_bits":1.0,"product_of_sums":64,"product_overflow":false,'
+        '"compression_numerator":22,"compression_bits":1.375}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(README_ORACLE), ids=["oracle-json", "solve", "solve-json"])
+def test_readme_oracle_examples_are_byte_identical(capsys, argv):
+    assert run(capsys, *argv) == (0, README_ORACLE[argv], "")
+
+
+@pytest.mark.parametrize(
+    "argv", [("solve", "-k", "4", "--json"), ("trace", "-k", "2")], ids=["json", "human"]
+)
+def test_a_reader_that_stops_early_gets_exit_141(tmp_path, argv):
+    # either output outgrows a pipe's buffer, so writing goes on after the
+    # reader has closed its end, as under `| head -c 20`
+    rng = random.Random("cli:closed-pipe")
+    path = tmp_path / "weights.txt"
+    path.write_text("\n".join(str(rng.randint(1, 1 << 40)) for _ in range(2000)))
+    env = dict(os.environ, PYTHONPATH=str(Path(kpart.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kpart.cli", *argv, "--file", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert len(head) == 20
+    assert head.startswith(b'{"instance":[' if argv[0] == "solve" else b"(")
+
+
 def test_oracle_command_respects_size_guard(capsys):
     code, _, err = run(
         capsys, "oracle", "-k", "2", "--list", " ".join(["3"] * 15), "--json"

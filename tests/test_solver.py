@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import deque
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +349,32 @@ def test_brute_search_space_sizes():
     assert brute_force(inst5, 2, "min_max").partitions_searched == 16
 
 
+def test_optima_read_as_a_tuple_of_partitions():
+    inst = Instance((5,) * 7)
+    res = brute_force(inst, 2, "min_max")
+    want = _rgs_oracle(inst, 2)["min_max"]  # built from a tuple
+    seq, parts = res.optimal_partitions, want.optimal_partitions
+    assert isinstance(parts, tuple) and len(seq) == len(parts) == 35
+    assert (seq[0], seq[34], seq[-1], seq[-35]) == (parts[0], parts[34], parts[-1], parts[-35])
+    assert seq[0].assignment == (0, 0, 0, 0, 1, 1, 1) and seq[0].k == 2
+    for i in (35, -36):
+        with pytest.raises(IndexError):
+            seq[i]
+    for cut in (slice(3, 10), slice(None, None, -2), slice(40, None), slice(-3, None)):
+        assert seq[cut] == parts[cut] and isinstance(seq[cut], tuple), cut
+    assert list(seq) == list(parts) and tuple(seq) == parts
+    assert all(p.canonical() is p for p in seq)
+    assert seq == parts and parts == seq and not seq != parts
+    assert seq != list(parts) and seq != parts[:-1] and seq != parts[::-1]
+    assert seq.index(parts[5]) == 5 and seq.count(parts[5]) == 1 and parts[7] in seq
+    assert repr(seq) == repr(parts)
+    assert res == want and want == res and hash(res) == hash(want)
+    assert res == brute_force(inst, 2, "min_max")
+    assert res.optimal_partitions != brute_force(inst, 3, "min_max").optimal_partitions
+    with pytest.raises(TypeError):
+        seq[0] = parts[0]
+
+
 def test_brute_rejects_unknown_objective(worked_instance):
     with pytest.raises(InputError):
         brute_force(worked_instance, 2, "sharpe_ratio")
@@ -506,8 +533,17 @@ def _summary_level_cases():
         yield Instance(tuple(_oracle_weights(rng, n, shape))), k
 
 
+def _tie_heavy_oracle_cases(count):
+    """Seeded instances of independent weights 1..6, n <= 9 and k = 2..6:
+    many optima tie, often with the greedy partition the sweep starts from."""
+    rng = random.Random("solver:tie-heavy-sweep")
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        yield Instance(tuple(rng.randint(1, 6) for _ in range(n))), rng.randint(2, 6)
+
+
 def test_sweep_matches_the_rgs_oracle():
-    for inst, k in _oracle_cases(120):
+    for inst, k in chain(_oracle_cases(120), _tie_heavy_oracle_cases(80)):
         want = _rgs_oracle(inst, k)
         for objective in OBJECTIVES:
             assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
@@ -638,6 +674,84 @@ def test_entropy_sweep_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+
+
+@pytest.mark.parametrize(
+    "objective, expected",
+    [("min_diff", (2, [(5, 2)])), ("min_max", (4, [(5, 2)])), ("compression", (4, [(5, 2)]))],
+)
+def test_joined_sweep_starts_from_a_partition_of_its_own_family(objective, expected):
+    # position 2 must share position 0's block, so {1, 3} {2} is the only
+    # two-block partition. A seed from outside the family, the greedy
+    # {3} {1, 2}, scores min_diff 0 and would leave no optimum
+    w = [1, 2, 3]
+    t = solver._slot_table(w, 2, objective)
+    assert solver._sweep(t, w, 2, objective, joined=0b100)[:2] == expected
+
+
+def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
+    inst = Instance((5,) * 7)
+    w = list(inst.weights)
+    want = _rgs_oracle(inst, 2)
+    for objective in ("min_max", "min_diff", "product_of_sums", "compression"):
+        t = solver._slot_table(w, 2, objective)
+        seed = solver._incumbent(t, w, inst.total, 2, objective, 1, 0b1111110)
+        res = brute_force(inst, 2, objective)
+        assert seed == res.best_value and len(res.optimal_partitions) == 35, objective
+        assert res == want[objective], objective
+
+
+def _completion_best(objective, w, prefix, r, j):
+    """Best value over every split of remainder r into <= j blocks after the
+    prefix blocks, scored from the groups' weights alone."""
+    members = [p for p in range(len(w)) if r >> p & 1]
+    labels = {p: g for g, b in enumerate(prefix) for p in range(len(w)) if b >> p & 1}
+    k = len(prefix) + j
+    values = []
+    # an empty remainder has one completion: j empty blocks
+    for a in _rgs_up_to_k(len(members), j) if members else [()]:
+        labels.update((p, len(prefix) + g) for p, g in zip(members, a))
+        assignment = [labels[p] for p in range(len(w))]
+        if objective == "max_min":
+            # min_max over the negated weights, as brute_force sweeps it
+            sums = [0] * k
+            for x, g in zip(w, assignment):
+                sums[g] += x
+            values.append(max(sums))
+        else:
+            values.append(_rgs_scores(w, assignment, k, sum(w))[objective])
+    pick = max if objective in ("product_of_sums", "entropy") else min
+    return pick(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("compression", "min_max", "max_min", "min_diff", "product_of_sums", "entropy")),
+    st.lists(envelope_weights, min_size=1, max_size=8),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
+    # a remainder whose bound is no worse than its own best completion is
+    # never skipped, so no skip can lose an optimum
+    w = sorted(ws)
+    swept = "min_max" if objective == "max_min" else objective
+    if objective == "max_min":
+        w = [-x for x in w]
+    n = len(w)
+    # any remainder short of every position: the prefix holds the rest
+    r = data.draw(st.integers(0, (1 << n) - 2))
+    rest = [p for p in range(n) if not r >> p & 1]
+    groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
+    prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
+    prefix = [b for b in prefix if b]
+    t = solver._slot_table(w, 2, swept)
+    sums = solver._slot_table(w, 2, "min_max")
+    _, _, fold, agg = solver._SWEEPS[swept]
+    for b in prefix:
+        agg = fold(agg, t[b])
+    best = _completion_best(objective, w, prefix, r, j)
+    assert not solver._skip(swept, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
 
 
 # --- greedy ---------------------------------------------------------------
