@@ -7,13 +7,13 @@ and backs the verification harnesses for the co-grouping lemma and the
 recombination principle.
 
 The oracles share one subset-mask sweep. Over the weights sorted
-ascending, one table holds the objective's term for every subset of the
-elements (subset sum, q * log2(q) of it, or Huffman merge cost), filled in
-O(2**n). Each partition into <= k blocks is then k block masks, and
-scoring it takes O(1) lookups in that table instead of regrouping n
-elements. max_min and min_entropy have no sweep of their own: both are
-read off the min_max sweep, max_min as minus its value over the negated
-weights.
+ascending, one O(2**n) pass fills the subset sums and the objective's term
+for every subset (the sum, q * log2(q) of it, or Huffman merge cost), and
+every sweep of a call reads those tables. Each partition into <= k blocks
+is then k block masks, and scoring it takes O(1) lookups instead of
+regrouping n elements. max_min and min_entropy have no sweep of their
+own: both are read off the min_max sweep, max_min as minus its value over
+the negated weights.
 
 At k >= 4 the same remainder, the positions left for the last two blocks,
 recurs under many choices of the blocks before them: 1,024 remainders
@@ -318,30 +318,32 @@ def _guard_oracle(n: int, k: int) -> None:
         raise SizeLimitError(f"oracle handles at most k={MAX_ORACLE_K}, got {k}")
 
 
-def _slot_table(w, k: int, objective: str) -> list | None:
-    """Per-block term of the objective, indexed by subset mask.
+def _slot_table(w, k: int, objective: str) -> tuple[list, list] | tuple[None, None]:
+    """(t, sums): the objective's per-block term and the subset sum, each
+    indexed by subset mask, filled in one pass that serves every sweep.
 
     Bit p of a mask stands for sorted position p of the ascending weights w.
-    Compression reads the merge cost of the members, entropy q * log2(q) of
-    the subset sum q (0.0 for the empty block), every other objective the
-    subset sum. Each half of a table fills from the half below its top bit,
-    so members come out ascending: O(2**n) entries. At k = 1 the sweep
-    needs no table, and None is returned.
+    Compression's t is the merge cost of the members, entropy's q * log2(q)
+    of the subset sum q (0.0 for the empty block), and every other t is
+    sums itself. Each half of a table fills from the half below its top
+    bit, so members come out ascending: O(2**n) entries. At k = 1 the
+    sweep needs no table, and (None, None) is returned.
     """
     if k == 1:
-        return None
+        return None, None
+    sums = [0]
     if objective == "compression":
         members: list[list[int]] = [[]]
         for x in w:
             members += [g + [x] for g in members]
-        return list(map(_merge_cost_sorted, members))
-    sums = [0]
+            sums += [q + x for q in sums]
+        return list(map(_merge_cost_sorted, members)), sums
     for x in w:
         sums += [q + x for q in sums]
     if objective == "entropy":
         log2 = math.log2
-        return [q * log2(q) if q else 0.0 for q in sums]
-    return sums
+        return [q * log2(q) if q else 0.0 for q in sums], sums
+    return sums, sums
 
 
 # Innermost levels of the sweep, one per swept objective. Each walks the
@@ -653,12 +655,13 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
     return max(agg[0], -(-R // j)) - min(agg[1], R // j) > best
 
 
-def _incumbent(t, w, total, k: int, objective: str, first: int, rest: int):
+def _incumbent(t, s, w, total, k: int, objective: str, first: int, rest: int):
     """Score, as the innermost level scores it, of a largest-first greedy
     partition: block 0 starts as the mask first, and each position of the
-    mask rest, from the top down, joins the lowest block nearest sum 0."""
+    mask rest, from the top down, joins the lowest block nearest sum 0.
+    s is the subset-sum table."""
     blocks = [first] + [0] * (k - 1)
-    sums = [sum(x for p, x in enumerate(w) if first >> p & 1)] + [0] * (k - 1)
+    sums = [s[first]] + [0] * (k - 1)
     for p in reversed(range(len(w))):
         if rest >> p & 1:
             i = sums.index(min(sums, key=abs))
@@ -682,41 +685,38 @@ def _partitions_up_to(n: int, k: int) -> int:
     return sum(row)
 
 
-def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = None):
+def _sweep(t, sums, w, k: int, objective: str, joined: int = 0, within: int | None = None):
     """Find every optimum among the partitions of the sorted positions
     into <= k blocks.
 
-    t is the objective's _slot_table over the ascending weights w. A
-    partition is k block masks: block j holds the lowest position no
-    earlier block holds, plus any subset of the positions left, and unused
-    slots are mask 0. So each set partition appears exactly once, and an
-    unused slot adds the zero sum objectives.py counts for it. joined, a
-    mask of positions, keeps only the partitions whose first block holds
-    them too. within, a mask of positions, sweeps those alone, as the
-    whole instance of their weights: the same table entries in the same
-    order, since a submask keeps its positions ascending.
+    t and sums are the two tables _slot_table filled over the ascending
+    weights w; the sweep reads them and builds none. A partition is k
+    block masks: block j holds the lowest position no earlier block holds,
+    plus any subset of the positions left, and unused slots are mask 0. So
+    each set partition appears exactly once, and an unused slot adds the
+    zero sum objectives.py counts for it. joined, a mask of positions,
+    keeps only the partitions whose first block holds them too. within, a
+    mask of positions, sweeps those alone, as the whole instance of their
+    weights: the same table entries in the same order, since a submask
+    keeps its positions ascending.
 
     The best starts at a greedy partition's score from this same family,
     so no tie at a worse value is kept, and each level that places a
     block before the last two skips a remainder that _skip rules out on
-    the subset sums (t itself, or one more O(2**n) table for compression
-    and entropy). At k >= 4 the third-to-last block is placed by the level
-    that reads per-remainder summaries, which settle a choice for
+    the subset sums. At k >= 4 the third-to-last block is placed by the
+    level that reads per-remainder summaries, which settle a choice for
     compression, product_of_sums and min_max and bound it before a scan
     for min_diff and entropy; at k <= 3 every remainder occurs once, so a
-    summary would only add a sweep. Returns (best, picks, searched), with
-    picks the block-mask tuples of every optimum in sweep order and
-    searched the partitions covered, scored or skipped: those into <= k
-    blocks of the positions, with the joined ones fused into one element.
-    For entropy, the kept candidates are pruned to the band below the best
-    each time it rises, so the last prune settles them against the final
-    best.
+    summary would only add a sweep. Returns (best, picks), with picks the
+    block-mask tuples of every optimum in sweep order; the sweep counts no
+    partitions. For entropy, the kept candidates are pruned to the band
+    below the best each time it rises, so the last prune settles them
+    against the final best.
     """
     last_two, last_three, fold, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
     members = [x for p, x in enumerate(w) if full >> p & 1]
     total = sum(members)
-    searched = _partitions_up_to(len(members) - joined.bit_count(), k)
     if k == 1:
         # one partition, every position in one block
         if objective == "compression":
@@ -727,12 +727,9 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = N
             best = 0
         else:
             best = total
-        return best, [(full,)], searched
+        return best, [(full,)]
     first = (full & -full) | joined
-    best = _incumbent(t, w, total, k, objective, first, full ^ first)
-    sums = t
-    if k > 2 and objective in ("compression", "entropy"):
-        sums = _slot_table(w, k, "min_max")
+    best = _incumbent(t, sums, w, total, k, objective, first, full ^ first)
     picks: list = []
     summ = [None] * (full + 1) if k > 3 else None
 
@@ -760,28 +757,28 @@ def _sweep(t, w, k: int, objective: str, joined: int = 0, within: int | None = N
     place(full, k, (), agg0, joined)
     if objective == "entropy":
         picks = [blocks for _, blocks in picks]
-    return best, picks, searched
+    return best, picks
 
 
 def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     """Exhaustively optimize one objective over all partitions into <= k blocks.
 
-    Sorts the elements by weight, fills one table of per-block terms over
-    all 2**n subsets (O(2**n) work, skipped at k = 1), then sweeps the
-    partitions with O(1) lookups in it, from a greedy partition's score,
-    skipping each remainder that a bound on its subset sum proves worse
-    than the best so far; partitions_searched counts every partition
-    covered, scored or ruled out. At k >= 4 one summary per remainder,
-    built once, settles the last two blocks under every prefix for
-    compression, product_of_sums and min_max, and bounds them for
-    min_diff and entropy. Exact integer objectives compare exactly;
-    entropy keeps every partition within 1e-9 of the best. Two objectives
-    reduce exactly to min_max, the largest subset sum: min_entropy is a
-    decreasing function of it, and max_min is minus min_max over the
-    negated weights. Each optimum is kept as one integer, its canonical
-    assignment in base 8, read off one more O(2**n) table of each mask's
-    digits; sorting the integers sorts the assignments. Guarded to
-    n <= 14 and k <= 6.
+    Sorts the elements by weight, fills the per-block terms and subset
+    sums of all 2**n subsets in one _slot_table pass (O(2**n), skipped at
+    k = 1), then sweeps the partitions with O(1) lookups in them, from a
+    greedy partition's score, skipping each remainder that a bound on its
+    subset sum proves worse than the best so far. partitions_searched is
+    every partition, covered whether scored or ruled out: the Stirling sum
+    over j <= k. At k >= 4 one summary per remainder, built once, settles
+    the last two blocks under every prefix for compression,
+    product_of_sums and min_max, and bounds them for min_diff and entropy.
+    Exact integer objectives compare exactly; entropy keeps every
+    partition within 1e-9 of the best. Two objectives reduce exactly to
+    min_max, the largest subset sum: min_entropy is a decreasing function
+    of it, and max_min is minus min_max over the negated weights. Each
+    optimum is kept as one integer, its canonical assignment in base 8,
+    read off one more O(2**n) table of each mask's digits; sorting the
+    integers sorts the assignments. Guarded to n <= 14 and k <= 6.
     """
     if objective not in OBJECTIVES:
         raise InputError(
@@ -794,7 +791,7 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     swept = "min_max" if objective in ("max_min", "min_entropy") else objective
     if objective == "max_min":
         w = [-x for x in w]
-    best, picks, searched = _sweep(_slot_table(w, k, swept), w, k, swept)
+    best, picks = _sweep(*_slot_table(w, k, swept), w, k, swept)
     if objective == "max_min":
         best = -best
     elif objective == "min_entropy":
@@ -810,7 +807,8 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
         sum(map(mul, count(), sorted(map(digits.__getitem__, blocks), reverse=True)))
         for blocks in picks
     )
-    return OracleResult(objective, best, _Optima(array("Q", keys), n, k), searched)
+    optima = _Optima(array("Q", keys), n, k)
+    return OracleResult(objective, best, optima, _partitions_up_to(n, k))
 
 
 # --- baseline ----------------------------------------------------------
@@ -840,11 +838,12 @@ def greedy_baseline(inst: Instance, k: int) -> Partition:
 def verify_lemma2(inst: Instance, k: int) -> Lemma2Report:
     """Check that co-grouping the two smallest weights cannot hurt compression.
 
-    Fills the compression table once, O(2**n), then sweeps every partition
-    into at most k blocks for the minimum integer compression cost, and
-    again over the partitions whose first block holds sorted positions 0
-    and 1, the two smallest weights, each with O(1) lookups per partition.
-    partitions_searched counts the first sweep. Requires n > k.
+    Fills the compression and subset-sum tables once, O(2**n), and both
+    sweeps read them: every partition into at most k blocks, for the least
+    integer compression cost, and the partitions whose first block holds
+    sorted positions 0 and 1, the two smallest weights, with O(1) lookups
+    per partition. partitions_searched counts the first sweep's partitions.
+    Requires n > k.
     """
     _check_k(k)
     n = len(inst.weights)
@@ -852,10 +851,10 @@ def verify_lemma2(inst: Instance, k: int) -> Lemma2Report:
         raise InputError(f"requires n > k, got n={n} and k={k}")
     _guard_oracle(n, k)
     w = sorted(inst.weights)
-    t = _slot_table(w, k, "compression")
-    un_min, _, searched = _sweep(t, w, k, "compression")
-    con_min, _, _ = _sweep(t, w, k, "compression", joined=0b10)
-    return Lemma2Report(un_min, con_min, searched)
+    t, sums = _slot_table(w, k, "compression")
+    un_min = _sweep(t, sums, w, k, "compression")[0]
+    con_min = _sweep(t, sums, w, k, "compression", joined=0b10)[0]
+    return Lemma2Report(un_min, con_min, _partitions_up_to(n, k))
 
 
 def conditional_subinstance(
@@ -889,9 +888,10 @@ def verify_principle_of_optimality(
     two sides are re-optimized independently with their own label budgets;
     every cross pairing of side optima is recombined and must reproduce the
     optimal entropy within 1e-9. Splits with an empty side are counted as
-    degenerate and skipped. One sort and one pair of tables serve every
-    sweep: a side is the union of its blocks' masks, swept once per call
-    and label count exactly as brute_force would sweep its weights alone.
+    degenerate and skipped. One sort and one _slot_table fill of the
+    entropy and subset-sum tables serve every sweep: a side is the union
+    of its blocks' masks, swept on those same tables once per call and
+    label count exactly as brute_force would sweep its weights alone.
     trials, when given, caps the number of recombinations checked; a cap
     that is not an int, or is negative, raises InputError. A capped call
     stops in sweep order, not brute_force's sorted canonical order, so it
@@ -904,16 +904,15 @@ def verify_principle_of_optimality(
     _guard_oracle(len(inst.weights), k)
     w = sorted(inst.weights)
     # at k = 1 both are None: that sweep reads no table, and nothing splits
-    sums = _slot_table(w, k, "min_max")
-    t = _slot_table(w, k, "entropy")
+    t, sums = _slot_table(w, k, "entropy")
     full = (1 << len(w)) - 1
-    best, optima, _ = _sweep(t, w, k, "entropy")
+    best, optima = _sweep(t, sums, w, k, "entropy")
 
     # splits of different optima often leave the same positions on one side
     @cache
     def side_optima(side: int, labels: int) -> list[list[int]]:
         """Subset sums of every entropic optimum of one side, swept once."""
-        picks = _sweep(t, w, labels, "entropy", within=side)[1]
+        picks = _sweep(t, sums, w, labels, "entropy", within=side)[1]
         return [[sums[b] for b in blocks] for blocks in picks]
 
     checked = violations = degenerate = 0

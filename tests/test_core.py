@@ -365,6 +365,9 @@ def test_partition_equality_ignores_label_names():
     assert a != Partition((0, 1, 1, 0), 2)
     assert Partition((0, 0), 2) != Partition((0, 0), 1)
     assert len({a, b}) == 1
+    # a tuple of labels is not a Partition, even with the same assignment
+    assert not Partition((0,), 1) == (0,)
+    assert Partition((0,), 1) != (0,)
 
 
 def test_partition_groups():
@@ -536,6 +539,7 @@ def test_all_names_every_public_binding():
 
 def test_instance_dist(worked_instance):
     d = instance_dist(worked_instance)
+    assert len(worked_instance) == len(d.numerators) == 6
     assert d.numerators == (1, 1, 2, 3, 4, 5)
     assert d.denominator == 16
 

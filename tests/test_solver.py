@@ -586,7 +586,7 @@ def _summary_level_run(monkeypatch, inst, k, objective):
         m.setattr(solver, last_two.__name__, two)
         m.setitem(solver._SWEEPS, objective, (last_two, three, *rest))
         w = sorted(inst.weights)
-        _, picks, _ = solver._sweep(solver._slot_table(w, k, objective), w, k, objective)
+        _, picks = solver._sweep(*solver._slot_table(w, k, objective), w, k, objective)
     return choices, scanned, picks
 
 
@@ -629,18 +629,6 @@ def test_summary_level_takes_each_branch(monkeypatch):
         assert choices > 0 and not scanned
 
 
-def test_joined_sweep_counts_the_fused_partitions():
-    # the first block holding sorted positions 0 and 1 is a partition of n - 1
-    # elements, counted here by the restricted growth strings that join them
-    for n in range(2, 10):
-        w = list(range(1, n + 1))
-        for k in range(1, MAX_ORACLE_K + 1):
-            t = solver._slot_table(w, k, "compression")
-            searched = solver._sweep(t, w, k, "compression", joined=0b10)[2]
-            joined = sum(1 for a in _rgs_up_to_k(n, k) if a[0] == a[1])
-            assert searched == joined == _stirling_up_to(n - 1, k), (n, k)
-
-
 def _stirling_up_to(n, k):
     """Sum of S(n, j) over j <= k: the set partitions into at most k blocks."""
     row = [1] + [0] * k  # S(0, j)
@@ -659,6 +647,31 @@ def test_partitions_searched_is_exact():
             assert brute_force(inst, k, objective).partitions_searched == want
             if n > k:
                 assert verify_lemma2(inst, k).partitions_searched == want
+
+
+def test_each_oracle_call_fills_its_tables_once(monkeypatch):
+    # every sweep of a call, theorem1's side sweeps and lemma2's joined one
+    # too, reads the two tables its caller filled
+    fills = 0
+    slot_table = solver._slot_table
+
+    def counted(*args):
+        nonlocal fills
+        fills += 1
+        return slot_table(*args)
+
+    monkeypatch.setattr(solver, "_slot_table", counted)
+    rng = random.Random("t1:1")
+    split = Instance(tuple(rng.randint(1, 30) for _ in range(12)))
+    small = Instance(tuple(range(1, 11)))
+    for name, call in (
+        ("theorem1", lambda: verify_principle_of_optimality(split, 5)),
+        ("lemma2", lambda: verify_lemma2(small, 4)),
+        ("entropy", lambda: brute_force(small, 4, "entropy")),
+    ):
+        fills = 0
+        call()
+        assert fills == 1, name
 
 
 def test_entropy_sweep_memory_stays_flat():
@@ -685,8 +698,8 @@ def test_joined_sweep_starts_from_a_partition_of_its_own_family(objective, expec
     # two-block partition. A seed from outside the family, the greedy
     # {3} {1, 2}, scores min_diff 0 and would leave no optimum
     w = [1, 2, 3]
-    t = solver._slot_table(w, 2, objective)
-    assert solver._sweep(t, w, 2, objective, joined=0b100)[:2] == expected
+    t, sums = solver._slot_table(w, 2, objective)
+    assert solver._sweep(t, sums, w, 2, objective, joined=0b100) == expected
 
 
 def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
@@ -694,8 +707,8 @@ def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
     w = list(inst.weights)
     want = _rgs_oracle(inst, 2)
     for objective in ("min_max", "min_diff", "product_of_sums", "compression"):
-        t = solver._slot_table(w, 2, objective)
-        seed = solver._incumbent(t, w, inst.total, 2, objective, 1, 0b1111110)
+        t, sums = solver._slot_table(w, 2, objective)
+        seed = solver._incumbent(t, sums, w, inst.total, 2, objective, 1, 0b1111110)
         res = brute_force(inst, 2, objective)
         assert seed == res.best_value and len(res.optimal_partitions) == 35, objective
         assert res == want[objective], objective
@@ -745,8 +758,7 @@ def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
     prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
     prefix = [b for b in prefix if b]
-    t = solver._slot_table(w, 2, swept)
-    sums = solver._slot_table(w, 2, "min_max")
+    t, sums = solver._slot_table(w, 2, swept)
     _, _, fold, agg = solver._SWEEPS[swept]
     for b in prefix:
         agg = fold(agg, t[b])
