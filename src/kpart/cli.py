@@ -15,6 +15,7 @@ import random
 import sys
 from bisect import bisect_left
 from collections import Counter
+from itertools import islice
 
 from .core import (
     MAX_ELEMENTS,
@@ -40,6 +41,10 @@ from .solver import (
 
 _GROUP_DISPLAY_CAP = 40
 _BENCH_RUNS = 3
+# array items per write of the --json arrays that grow with n, and the
+# string that marks their place in the dumped skeleton of the object
+_CHUNK = 1 << 16
+_HOLE = "\0"
 
 
 # --- shared helpers ----------------------------------------------------
@@ -58,31 +63,55 @@ def _load_instance(args) -> Instance:
     raise InputError("provide an instance with --list or --file")
 
 
-def _payload(inst, k, objective, part, rep, trace=None) -> dict:
-    # tuples go to the encoder as they are: it writes them as JSON arrays
-    out = {
-        "instance": inst.weights,
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _print_json(inst, k, objective, part, rep, trace=None, res=None) -> None:
+    """Print solve's object, with the trace or the oracle's result, as one
+    compact json.dumps line. The small values are dumped first, as a skeleton
+    with a hole for each array that grows with n; each array then fills its
+    hole _CHUNK items per write, so none is built whole, and an error before
+    the first write leaves stdout empty."""
+    obj = {
+        "instance": _HOLE,
         "k": k,
         "objective": objective,
-        "partition": part.to_json_dict(),
+        "partition": {"k": k, "assignment": _HOLE},
         "subset_sums": rep.subset_sums,
         "report": rep.to_json_dict(),
     }
+    labels = list(map(str, range(k)))
+    arrays = [map(str, inst.weights), map(labels.__getitem__, part.assignment)]
     if trace is not None:
-        out["trace"] = {"steps": trace.steps, "final_list": trace.final_list}
-    return out
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+        obj["trace"] = {"steps": _HOLE, "final_list": trace.final_list}
+        arrays.append(map("[%d,%d,%d]".__mod__, trace.iter_steps()))
+    if res is not None:
+        opt = res.optimal_partitions
+        obj["oracle"] = {
+            "best_value": res.best_value,
+            "optima_count": len(opt),
+            "partitions_searched": res.partitions_searched,
+            "optimal_assignments": _HOLE,
+        }
+        arrays.append(map("[%s]".__mod__, map(",".join, opt.digits())))
+    texts = _dumps(obj).split(_dumps(_HOLE))
+    write = sys.stdout.write
+    write(texts[0])
+    for items, text in zip(arrays, texts[1:]):
+        write("[")
+        sep = ""
+        while chunk := ",".join(islice(items, _CHUNK)):
+            write(sep + chunk)
+            sep = ","
+        write("]" + text)
+    write("\n")
 
 
 def _print_groups(inst, part, sums) -> None:
     """One line per label: member weights, or only their count past the cap."""
     counts = Counter(part.assignment)
-    shown = {
-        lbl: [] for lbl in range(part.k) if counts[lbl] <= _GROUP_DISPLAY_CAP
-    }
+    shown = {lbl: [] for lbl in range(part.k) if counts[lbl] <= _GROUP_DISPLAY_CAP}
     if shown:
         for w, lbl in zip(inst.weights, part.assignment):
             members = shown.get(lbl)
@@ -97,10 +126,7 @@ def _print_groups(inst, part, sums) -> None:
 
 
 def _print_report(inst, rep) -> None:
-    print(
-        f"L(X|A) = {rep.compression_numerator}/{inst.total}"
-        f" = {rep.compression_bits:.6g}"
-    )
+    print(f"L(X|A) = {rep.compression_numerator}/{inst.total} = {rep.compression_bits:.6g}")
     print(f"H(A) = {rep.entropy_bits:.6g} bits, H_inf(A) = {rep.min_entropy_bits:.6g} bits")
     line = (
         f"min_diff = {rep.min_diff}, min_max = {rep.min_max}, "
@@ -144,7 +170,7 @@ def _cmd_solve(args) -> int:
     # the merge already summed the stopped-Huffman partition's cost
     rep = evaluate(inst, part, None if trace is None else trace.cost)
     if args.json:
-        _print_json(_payload(inst, k, args.objective, part, rep, trace))
+        _print_json(inst, k, args.objective, part, rep, trace)
         return 0
     print(_instance_header(inst, k, args.objective, method))
     _print_groups(inst, part, rep.subset_sums)
@@ -161,13 +187,11 @@ def _render_merge_lists(inst, trace):
     merged_flag = [False] * len(values)
 
     def fmt() -> str:
-        cells = [
-            f"*{v}*" if m else str(v) for v, m in zip(values, merged_flag)
-        ]
+        cells = [f"*{v}*" if m else str(v) for v, m in zip(values, merged_flag)]
         return "(" + ", ".join(cells) + ")"
 
     yield fmt()
-    for va, vb, vm in trace.steps:
+    for va, vb, vm in trace.iter_steps():
         for v in (va, vb):
             # merged nodes sit left of equal-valued leaves, so the leftmost
             # match is exactly what the merge loop consumed
@@ -203,14 +227,7 @@ def _cmd_oracle(args) -> int:
     part = res.optimal_partitions[0]
     rep = evaluate(inst, part)
     if args.json:
-        payload = _payload(inst, args.k, args.objective, part, rep)
-        payload["oracle"] = {
-            "best_value": res.best_value,
-            "optima_count": len(res.optimal_partitions),
-            "partitions_searched": res.partitions_searched,
-            "optimal_assignments": [p.assignment for p in res.optimal_partitions],
-        }
-        _print_json(payload)
+        _print_json(inst, args.k, args.objective, part, rep, res=res)
         return 0
     print(_instance_header(inst, args.k, args.objective, "oracle"))
     print(
@@ -253,10 +270,7 @@ def _sandwich_cases(seed: int, count: int, max_n: int):
 
 def _tally(name: str, results) -> dict:
     """Suite row summing one (checks, violations) pair per case."""
-    checks = violations = 0
-    for c, v in results:
-        checks += c
-        violations += v
+    checks, violations = map(sum, zip((0, 0), *results))
     return {"name": name, "checks": checks, "violations": violations}
 
 
@@ -341,7 +355,7 @@ def _cmd_verify(args) -> int:
         ]
     ok = all(s["violations"] == 0 for s in suites)
     if args.json:
-        _print_json({"seed": seed, "suites": suites, "ok": ok})
+        print(_dumps({"seed": seed, "suites": suites, "ok": ok}))
     else:
         print(f"{'suite':<20} {'checks':>8} {'violations':>11}")
         for s in suites:
@@ -365,25 +379,17 @@ def _cmd_bench(args) -> int:
     rng = random.Random(f"{args.seed}:bench")
     rows = []
     prev = None
-    n = 1024
-    while n <= top:
+    for n in (1 << e for e in range(10, top.bit_length())):
         inst = Instance(tuple(rng.randint(1, 1 << 30) for _ in range(n)))
         # timeit holds the collector off, whose pauses would distort the ratios
         best = min(
             timeit.repeat(lambda: stopped_huffman(inst, k), repeat=_BENCH_RUNS, number=1)
         )
-        ratio = (best / prev) if prev else None
-        rows.append(
-            {
-                "n": n,
-                "seconds": round(best, 6),
-                "ratio": round(ratio, 3) if ratio is not None else None,
-            }
-        )
+        ratio = None if prev is None else round(best / prev, 3)
+        rows.append({"n": n, "seconds": round(best, 6), "ratio": ratio})
         prev = best
-        n <<= 1
     if args.json:
-        _print_json({"k": k, "seed": args.seed, "rows": rows})
+        print(_dumps({"k": k, "seed": args.seed, "rows": rows}))
     else:
         print(f"{'n':>9} {'seconds':>10} {'ratio':>7}")
         for row in rows:
@@ -412,10 +418,7 @@ def _add_instance_args(p, objective=False) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kpart",
-        description=(
-            "Multiway number partitioning under entropic and compression "
-            "objectives."
-        ),
+        description="Multiway number partitioning under entropic and compression objectives.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -432,9 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("trace", help="show the merge lists of the stopped Huffman run")
     _add_instance_args(pt)
-    pt.set_defaults(
-        func=_cmd_trace, objective="compression", oracle=False, greedy=False
-    )
+    pt.set_defaults(func=_cmd_trace, objective="compression", oracle=False, greedy=False)
 
     po = sub.add_parser("oracle", help="exhaustively optimize one objective")
     _add_instance_args(po, objective=True)
@@ -449,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--trials",
         type=int,
-        default=None,
         help="instances per suite (default: full); with --list or --file, "
         "the most theorem1 recombinations to check (default: all)",
     )

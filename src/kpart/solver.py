@@ -81,7 +81,7 @@ _MAX_LABEL_RUNS = 16384
 class MergeTrace:
     """Merge history of one stopped-Huffman run.
 
-    steps materializes lazily from the engine's node-value array and the
+    Its steps are read lazily off the engine's node-value array and the
     child-id columns, so capturing a trace adds no per-step cost at large n.
     cost, the sum of the merged values, is the compression numerator of the
     run's own partition: compression_cost(inst, part) without regrouping.
@@ -95,22 +95,23 @@ class MergeTrace:
         self._right = right
         self.final_list = tuple(final_list)
 
+    def iter_steps(self):
+        """Iterator of the (value_a, value_b, merged_value) triple per merge,
+        in merge order, built one at a time."""
+        vals = self._vals
+        return zip(
+            map(vals.__getitem__, self._left),
+            map(vals.__getitem__, self._right),
+            islice(vals, len(vals) - len(self._left), None),
+        )
+
     @property
     def steps(self) -> tuple[tuple[int, int, int], ...]:
         """Ordered (value_a, value_b, merged_value) triple per merge."""
-        vals = self._vals
-        base = len(vals) - len(self._left)
         # built as a list first: a tuple grown from an iterator is
         # reallocated as it grows and re-enters the collector's youngest
         # generation each time, so every young collection rescans it
-        steps = list(
-            zip(
-                map(vals.__getitem__, self._left),
-                map(vals.__getitem__, self._right),
-                vals[base:],
-            )
-        )
-        return tuple(steps)
+        return tuple(list(self.iter_steps()))
 
     @property
     def cost(self) -> int:
@@ -149,6 +150,11 @@ class _Optima(Sequence):
         part.__dict__.update(assignment=tuple(labels), k=self._k)
         return part
 
+    def digits(self):
+        """Iterator of each optimum's assignment, in order, as a string of n
+        octal digits, one label each; no Partition is built."""
+        return map(format, self._keys, repeat(self._digits))
+
     def __len__(self) -> int:
         return len(self._keys)
 
@@ -178,7 +184,8 @@ class OracleResult:
 
     optimal_partitions holds every optimum in canonical labels, sorted so
     the lexicographically smallest assignment comes first; brute_force
-    gives a read-only sequence that builds each Partition as it is read.
+    gives a read-only sequence that builds each Partition as it is read,
+    and whose digits() gives every assignment as octal digits instead.
     partitions_searched counts every partition covered, whether the sweep
     scored it or a bound ruled it out.
     """
@@ -704,14 +711,11 @@ def _sweep(t, sums, w, k: int, objective: str, joined: int = 0, within: int | No
     so no tie at a worse value is kept, and each level that places a
     block before the last two skips a remainder that _skip rules out on
     the subset sums. At k >= 4 the third-to-last block is placed by the
-    level that reads per-remainder summaries, which settle a choice for
-    compression, product_of_sums and min_max and bound it before a scan
-    for min_diff and entropy; at k <= 3 every remainder occurs once, so a
-    summary would only add a sweep. Returns (best, picks), with picks the
-    block-mask tuples of every optimum in sweep order; the sweep counts no
-    partitions. For entropy, the kept candidates are pruned to the band
-    below the best each time it rises, so the last prune settles them
-    against the final best.
+    summary level of the module docstring. Returns (best, picks), with
+    picks the block-mask tuples of every optimum in sweep order; the sweep
+    counts no partitions. For entropy, the kept candidates are pruned to
+    the band below the best each time it rises, so the last prune settles
+    them against the final best.
     """
     last_two, last_three, fold, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
@@ -765,13 +769,9 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
 
     Sorts the elements by weight, fills the per-block terms and subset
     sums of all 2**n subsets in one _slot_table pass (O(2**n), skipped at
-    k = 1), then sweeps the partitions with O(1) lookups in them, from a
-    greedy partition's score, skipping each remainder that a bound on its
-    subset sum proves worse than the best so far. partitions_searched is
-    every partition, covered whether scored or ruled out: the Stirling sum
-    over j <= k. At k >= 4 one summary per remainder, built once, settles
-    the last two blocks under every prefix for compression,
-    product_of_sums and min_max, and bounds them for min_diff and entropy.
+    k = 1), then sweeps the partitions with O(1) lookups in them, as the
+    module docstring describes. partitions_searched is every partition,
+    covered whether scored or ruled out: the Stirling sum over j <= k.
     Exact integer objectives compare exactly; entropy keeps every
     partition within 1e-9 of the best. Two objectives reduce exactly to
     min_max, the largest subset sum: min_entropy is a decreasing function

@@ -12,13 +12,18 @@ import pytest
 
 import kpart
 from kpart import (
+    MAX_WEIGHT,
     Instance,
     Lemma2Report,
+    ObjectiveReport,
     Partition,
+    brute_force,
     evaluate,
+    greedy_baseline,
     parse_instance,
     stopped_huffman,
 )
+from kpart import cli
 from kpart.cli import _render_merge_lists, main
 
 WORKED = "1,1,2,3,4,5"
@@ -460,6 +465,122 @@ def test_oracle_command_respects_size_guard(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+# the streamed arrays are cut into chunks of this many items in the tests
+# below, so that instances of a few elements cross every chunk boundary
+TEST_CHUNK = 4
+
+
+def _reference_json(command, mode, objective, ws, k) -> str:
+    """The --json line, from a dict built here and one json.dumps call."""
+    inst = Instance(tuple(ws))
+    trace = res = None
+    if command == "oracle" or mode == "--oracle":
+        res = brute_force(inst, k, objective)
+        part = res.optimal_partitions[0]
+    elif mode == "--greedy":
+        part = greedy_baseline(inst, k)
+    else:
+        part, trace = stopped_huffman(inst, k)
+    rep = evaluate(inst, part)
+    obj = {
+        "instance": list(ws),
+        "k": k,
+        "objective": objective,
+        "partition": {"k": k, "assignment": list(part.assignment)},
+        "subset_sums": list(rep.subset_sums),
+        "report": rep.to_json_dict(),
+    }
+    if trace is not None:
+        steps = [[a, b, m] for a, b, m in trace.steps]
+        obj["trace"] = {"steps": steps, "final_list": list(trace.final_list)}
+    if command == "oracle":
+        obj["oracle"] = {
+            "best_value": res.best_value,
+            "optima_count": len(res.optimal_partitions),
+            "partitions_searched": res.partitions_searched,
+            "optimal_assignments": [list(p.assignment) for p in res.optimal_partitions],
+        }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+STREAMED = [
+    ("solve", None, "compression"),
+    ("trace", None, "compression"),
+    ("solve", "--greedy", "min_diff"),
+    ("solve", "--oracle", "entropy"),
+    ("oracle", None, "min_max"),
+    ("oracle", None, "product_of_sums"),
+]
+
+
+@pytest.mark.parametrize("command, mode, objective", STREAMED, ids=lambda v: str(v))
+@pytest.mark.parametrize("n", [TEST_CHUNK - 1, TEST_CHUNK, TEST_CHUNK + 1, 2 * TEST_CHUNK + 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_streamed_json_equals_one_json_dumps(
+    monkeypatch, capsys, command, mode, objective, n, k
+):
+    # weights at both ends of the range: at k = 2 and 3 the product of the
+    # sums passes 2^63; a run of equal weights gives the oracle ties, so
+    # its optima cross chunk boundaries too
+    monkeypatch.setattr(cli, "_CHUNK", TEST_CHUNK)
+    rng = random.Random(f"cli:stream:{n}:{k}")
+    ws = [rng.choice((1, 2, 3, MAX_WEIGHT - 1, MAX_WEIGHT)) for _ in range(n)]
+    argv = [command, "-k", str(k), "--list", ",".join(map(str, ws)), "--json"]
+    if command != "trace":
+        argv += ["--objective", objective]
+    if mode is not None:
+        argv.append(mode)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == _reference_json(command, mode, objective, ws, k)
+
+
+def test_streamed_json_pins_its_edge_cases(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_CHUNK", TEST_CHUNK)
+    # n <= k: no merge runs, so the steps array is empty
+    _, out, _ = run(capsys, "solve", "-k", "5", "--list", "3,1,2", "--json")
+    assert '"trace":{"steps":[],"final_list":[1,2,3]}}' in out
+    # 2 * TEST_CHUNK + 1 weights at the top of the range, and their steps
+    ws = [MAX_WEIGHT] * (2 * TEST_CHUNK + 1)
+    _, out, _ = run(capsys, "trace", "-k", "2", "--list", ",".join(map(str, ws)), "--json")
+    payload = json.loads(out)
+    assert payload["instance"] == ws
+    assert payload["report"]["product_overflow"] is True
+    assert payload["report"]["product_of_sums"] > 1 << 63
+    assert [s[2] for s in payload["trace"]["steps"]][:3] == [2 * MAX_WEIGHT] * 3
+    # seven 5s at k = 2 have 35 min_max optima: nine chunks of at most four
+    argv = ("oracle", "-k", "2", "--list", "5,5,5,5,5,5,5", "--objective", "min_max")
+    _, out, _ = run(capsys, *argv, "--json")
+    rows = json.loads(out)["oracle"]["optimal_assignments"]
+    assert len(rows) == 35 and rows[0] == [0, 0, 0, 0, 1, 1, 1]
+    assert out == _reference_json("oracle", None, "min_max", [5] * 7, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("solve", "-k", "2", "--list", "1,2,x", "--json"), 2),
+        (("oracle", "-k", "2", "--list", " ".join(["3"] * 15), "--json"), 3),
+    ],
+    ids=["bad-token", "size-guard"],
+)
+def test_an_error_exit_prints_no_json(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ")
+
+
+def test_an_error_while_rendering_prints_no_json(monkeypatch, capsys):
+    # the small values are rendered before the first array is written
+    def fail(self):
+        raise kpart.InputError("cannot render")
+
+    monkeypatch.setattr(ObjectiveReport, "to_json_dict", fail)
+    assert run(capsys, "solve", "-k", "2", "--list", WORKED, "--json") == (
+        2, "", "error: cannot render\n"
+    )
 
 
 def test_file_input_with_comments(tmp_path, capsys):

@@ -375,6 +375,18 @@ def test_optima_read_as_a_tuple_of_partitions():
         seq[0] = parts[0]
 
 
+def test_step_iterator_and_optima_digits_read_what_the_tuples_hold(worked_instance):
+    # the CLI streams these two instead of building the tuples
+    _, trace = stopped_huffman(worked_instance, 2)
+    steps = trace.iter_steps()
+    assert next(steps) == (1, 1, 2) and tuple(steps) == trace.steps[1:]
+    assert tuple(stopped_huffman(worked_instance, 6)[1].iter_steps()) == ()
+    seq = brute_force(Instance((5,) * 7), 2, "min_max").optimal_partitions
+    digits = list(seq.digits())
+    assert len(digits) == 35 and digits[0] == "0000111"
+    assert [tuple(map(int, d)) for d in digits] == [p.assignment for p in seq]
+
+
 def test_brute_rejects_unknown_objective(worked_instance):
     with pytest.raises(InputError):
         brute_force(worked_instance, 2, "sharpe_ratio")
