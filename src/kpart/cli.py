@@ -27,6 +27,7 @@ from .core import (
     parse_instance,
     subset_sums,
 )
+from .core import _int_text
 from .entropy import conditional_entropy, shannon_entropy
 from .huffman import build_huffman, expected_length_bits
 from .objectives import compression_cost, evaluate
@@ -130,7 +131,7 @@ def _print_report(inst, rep) -> None:
     print(f"H(A) = {rep.entropy_bits:.6g} bits, H_inf(A) = {rep.min_entropy_bits:.6g} bits")
     line = (
         f"min_diff = {rep.min_diff}, min_max = {rep.min_max}, "
-        f"max_min = {rep.max_min}, product_of_sums = {rep.product_of_sums}"
+        f"max_min = {rep.max_min}, product_of_sums = {_int_text(rep.product_of_sums)}"
     )
     if rep.product_overflow:
         line += " (outside 64-bit range)"

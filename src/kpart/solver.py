@@ -27,8 +27,11 @@ the bound are scanned. At k <= 3 each remainder occurs once, so a summary
 would only add a sweep, and those sweeps scan directly.
 
 The sweep is a branch and bound: it starts from a greedy partition's
-score and skips each remainder whose bound, read off the subset sums, is
-strictly worse than the best so far. brute_force keeps each optimum as
+score and skips each remainder whose bound is strictly worse than the
+best so far. The bound reads two entries of the subset sums: the
+remainder's sum, and its largest weight, which on wide weights limits
+every completion by itself (the block holding it is at least that heavy;
+the others share what is left). brute_force keeps each optimum as
 one integer, its canonical assignment in base 8 (a restricted growth
 string), and builds its Partition only when it is read.
 """
@@ -639,27 +642,55 @@ _SWEEPS = {
 def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
     """Whether a level placing a block before the last two may skip
     remainder r, with j slots left after the prefix folded into agg: a
-    proven bound on r's best completion, from R = s[r], its subset sum,
-    is strictly worse than best."""
+    proven bound on r's best completion is strictly worse than best.
+
+    The bounds read R = s[r], r's subset sum, and x, the subset sum of r's
+    top sorted position: its largest weight, or under max_min's negated
+    weights its most negative one. On wide weights x dominates R, and the
+    block holding it limits every completion more than R / j does. At
+    j = 1 the one block is r itself, and the bounds read R alone.
+    """
     R = s[r]
     if objective == "compression":
         # merging the j blocks' Huffman trees into one for r costs at most
         # (j - 1) * R, and no tree for r costs less than t[r]
         return agg + t[r] - (j - 1) * R > best
+    # 1 << (bit_length - 1), or 0 for the empty remainder, whose x is 0
+    x = s[1 << r.bit_length() >> 1]
     if objective == "product_of_sums":
+        if j > 1 and x * j > R:
+            # the block holding x sums to some y >= x > R / j, the other
+            # j - 1 to at most ((R - y) / (j - 1)) ** (j - 1) by AM-GM, and
+            # y * (R - y) ** (j - 1) falls as y grows past R / j
+            return agg * x * (R - x) ** (j - 1) < best * (j - 1) ** (j - 1)
         # AM-GM: j sums that add up to R multiply to at most (R / j) ** j
         return agg * R**j < best * j**j
     if objective == "entropy":
         # q * log2(q) is convex, so the j terms add up to R * log2(R / j) or
-        # more. The cut is _last_three_entropy's, whose extra 1e-12 * total
-        # of slack covers the rounding on both sides
+        # more; with x > R / j, to x * log2(x) plus the other j - 1 blocks'
+        # least, which grows with the block holding x. The cut is
+        # _last_three_entropy's, whose extra 1e-12 * total of slack covers
+        # the rounding on both sides
         cut = (math.log2(total) - (best - _ENTROPY_TOL) + 1e-12) * total + 1e-12 * total
-        return sum(agg) + (R * math.log2(R / j) if R else 0.0) > cut
+        if j > 1 and x * j > R:
+            rest = R - x
+            least = x * math.log2(x) + (rest * math.log2(rest / (j - 1)) if rest else 0.0)
+        else:
+            least = R * math.log2(R / j) if R else 0.0
+        return sum(agg) + least > cut
     # some block holds ceil(R / j) or more, and some floor(R / j) or less,
-    # among max_min's negated sums too
+    # among max_min's negated sums too. The block holding x sums to at
+    # least x; under max_min's negated sums, to at most x, so the other
+    # j - 1 blocks hold R - x or more and one of them a share of it
+    hi = -(-R // j)
     if objective == "min_max":
-        return max(agg, -(-R // j)) > best
-    return max(agg[0], -(-R // j)) - min(agg[1], R // j) > best
+        if j > 1:
+            hi = max(hi, x if R > 0 else -((x - R) // (j - 1)))
+        return max(agg, hi) > best
+    # min_diff: the other j - 1 blocks hold R - x or less, and one of them
+    # a share of it
+    lo = R // j if j == 1 else min(R // j, (R - x) // (j - 1))
+    return max(agg[0], hi, x) - min(agg[1], lo) > best
 
 
 def _incumbent(t, s, w, total, k: int, objective: str, first: int, rest: int):
@@ -798,14 +829,15 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
         best = _min_entropy_bits(best, inst.total)
     # digits[b] has an octal 1 at the original index of each member of b.
     # Of disjoint blocks, the one holding the lowest index has the largest
-    # digits, so descending digits take the canonical labels 0, 1, ...
+    # digits, so the k blocks' digits, ascending, take the canonical labels
+    # k - 1, ..., 1, 0; unused slots have digits 0
     digits = [0]
     for e in order:
         d = 1 << 3 * (n - 1 - e)
         digits += [x + d for x in digits]
+    labels = range(k - 1, -1, -1)
     keys = sorted(
-        sum(map(mul, count(), sorted(map(digits.__getitem__, blocks), reverse=True)))
-        for blocks in picks
+        sum(map(mul, labels, sorted(map(digits.__getitem__, blocks)))) for blocks in picks
     )
     optima = _Optima(array("Q", keys), n, k)
     return OracleResult(objective, best, optima, _partitions_up_to(n, k))

@@ -168,6 +168,19 @@ def test_solve_human_output_flags_a_product_outside_64_bits(capsys):
     assert line.endswith(" (outside 64-bit range)")
 
 
+def test_solve_human_output_names_a_product_past_the_digit_limit(capsys):
+    # 1,000 sums of 2**40 multiply to 2**40000, over 4,300 decimal digits,
+    # which str() refuses; the product is named by its bit length instead
+    ws = ",".join([str(1 << 40)] * 1000)
+    code, out, err = run(capsys, "solve", "-k", "1000", "--list", ws)
+    assert code == 0, err
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("min_diff = ")]
+    assert line == (
+        f"min_diff = 0, min_max = {1 << 40}, max_min = {1 << 40}, "
+        "product_of_sums = <40001-bit integer> (outside 64-bit range)"
+    )
+
+
 def test_solve_objectives_need_a_solver(capsys):
     code, _, err = run(capsys, "solve", "-k", "2", "--list", WORKED, "--objective", "entropy")
     assert code == 2

@@ -778,6 +778,60 @@ def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     assert not solver._skip(swept, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("compression", "min_max", "max_min", "min_diff", "product_of_sums", "entropy")),
+    st.integers(1, 6),
+    envelope_weights,
+    st.lists(envelope_weights, max_size=4),
+    st.data(),
+)
+def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x, head, data):
+    # the remainder's largest weight x exceeds its share R / j whenever
+    # j >= 2, so the bounds that read x as well as R decide; the prefix
+    # holds the head weights in up to three blocks
+    others = data.draw(st.lists(st.integers(1, x), max_size=5))
+    while others and x * (j - 1) <= sum(others):
+        others.pop()
+    tagged = sorted([(x, 1)] + [(y, 1) for y in others] + [(y, 0) for y in head])
+    w = [y for y, _ in tagged]
+    r = sum(1 << p for p, (_, in_r) in enumerate(tagged) if in_r)
+    rest = [p for p, (_, in_r) in enumerate(tagged) if not in_r]
+    groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
+    prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
+    prefix = [b for b in prefix if b]
+    swept = "min_max" if objective == "max_min" else objective
+    if objective == "max_min":
+        w = [-y for y in w]
+    t, sums = solver._slot_table(w, 2, swept)
+    _, _, fold, agg = solver._SWEEPS[swept]
+    for b in prefix:
+        agg = fold(agg, t[b])
+    best = _completion_best(objective, w, prefix, r, j)
+    assert not solver._skip(swept, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
+
+
+def test_largest_weight_bounds_prune_the_balance_sweeps(monkeypatch):
+    # on log-uniform weights one weight dominates each remainder. Bounds
+    # that saw only its sum R let 1,000-3,000 of the 4,096 first blocks of
+    # this (13, 3) instance through to a scan of the last two blocks
+    rng = random.Random("solver:largest-weight-bound")
+    ws = tuple(min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(13))
+    for objective in ("min_diff", "product_of_sums", "entropy"):
+        last_two, *rest = solver._SWEEPS[objective]
+        scans = 0
+
+        def counted(*args):
+            nonlocal scans
+            scans += 1
+            return last_two(*args)
+
+        with monkeypatch.context() as m:
+            m.setitem(solver._SWEEPS, objective, (counted, *rest))
+            brute_force(Instance(ws), 3, objective)
+        assert scans < 100, (objective, scans)
+
+
 # --- greedy ---------------------------------------------------------------
 
 
