@@ -813,8 +813,8 @@ def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x,
 
 def test_largest_weight_bounds_prune_the_balance_sweeps(monkeypatch):
     # on log-uniform weights one weight dominates each remainder. Bounds
-    # that saw only its sum R let 1,000-3,000 of the 4,096 first blocks of
-    # this (13, 3) instance through to a scan of the last two blocks
+    # that saw only its sum R let 2,056 to 3,072 of the 4,096 first blocks
+    # of this (13, 3) instance through to a scan of the last two blocks
     rng = random.Random("solver:largest-weight-bound")
     ws = tuple(min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(13))
     for objective in ("min_diff", "product_of_sums", "entropy"):
