@@ -56,9 +56,10 @@ def _load_instance(args) -> Instance:
         return parse_instance(args.list)
     if args.file is not None:
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
+            # utf-8-sig drops a leading byte-order mark, which some editors write
+            with open(args.file, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.file}: {exc}") from exc
         return parse_instance(text)
     raise InputError("provide an instance with --list or --file")
@@ -183,26 +184,21 @@ def _cmd_solve(args) -> int:
 
 
 def _render_merge_lists(inst, trace):
-    """Yield each intermediate sorted list with merged super-node values marked."""
+    """Yield each intermediate sorted list with merged super-node values marked.
+
+    Each line joins the printed cells, kept beside the values. A merge
+    consumes the two smallest values, which lead the list: merged nodes
+    sit left of equal-valued leaves, as the merge prefers them.
+    """
     values = sorted(inst.weights)
-    merged_flag = [False] * len(values)
-
-    def fmt() -> str:
-        cells = [f"*{v}*" if m else str(v) for v, m in zip(values, merged_flag)]
-        return "(" + ", ".join(cells) + ")"
-
-    yield fmt()
-    for va, vb, vm in trace.iter_steps():
-        for v in (va, vb):
-            # merged nodes sit left of equal-valued leaves, so the leftmost
-            # match is exactly what the merge loop consumed
-            idx = bisect_left(values, v)
-            del values[idx]
-            del merged_flag[idx]
+    cells = list(map(str, values))
+    yield "(" + ", ".join(cells) + ")"
+    for _, _, vm in trace.iter_steps():
+        del values[:2], cells[:2]
         idx = bisect_left(values, vm)
         values.insert(idx, vm)
-        merged_flag.insert(idx, True)
-        yield fmt()
+        cells.insert(idx, f"*{vm}*")
+        yield "(" + ", ".join(cells) + ")"
 
 
 def _cmd_trace(args) -> int:

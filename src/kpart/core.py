@@ -140,10 +140,11 @@ class Dist:
     members: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        nums = tuple(self.numerators)
+        nums = _int_tuple("numerator", self.numerators)
         object.__setattr__(self, "numerators", nums)
+        _check_int("denominator", self.denominator)
         if self.members is not None:
-            object.__setattr__(self, "members", tuple(self.members))
+            object.__setattr__(self, "members", _int_tuple("member", self.members))
             if len(self.members) != len(nums):
                 raise InputError("members must align one-to-one with numerators")
         if self.denominator < 1:
@@ -206,6 +207,19 @@ def _check_int(name: str, x) -> None:
     """Reject x unless it is an int and not a bool; the message calls it name."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise InputError(f"{name} must be an integer, got {x!r}")
+
+
+def _int_tuple(name: str, xs) -> tuple[int, ...]:
+    """xs as a tuple, each item held to _check_int(name, item). One pass in
+    C gathers the items' types; only a bad type is looked for item by item."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise InputError(f"{name}s must be an iterable of integers, got {xs!r}") from None
+    if not all(issubclass(tp, int) and tp is not bool for tp in set(map(type, xs))):
+        for x in xs:
+            _check_int(name, x)
+    return xs
 
 
 def _check_k(k: int) -> None:

@@ -21,8 +21,12 @@ def shannon_entropy(d: Dist) -> Bits:
 
 def _entropy_bits(nums, total: int) -> Bits:
     """shannon_entropy over unchecked numerators summing to a positive total."""
-    acc = math.fsum(n * math.log2(n) for n in nums if n)
-    h = math.log2(total) - acc / total
+    return _terms_bits((n * math.log2(n) for n in nums if n), total)
+
+
+def _terms_bits(terms, total: int) -> Bits:
+    """H, clamped at zero, from the q * log2(q) terms of numerators summing to total."""
+    h = math.log2(total) - math.fsum(terms) / total
     return h if h > 0.0 else 0.0
 
 

@@ -49,8 +49,8 @@ from itertools import compress, count, islice, repeat
 from operator import mul, ne
 
 from .core import Instance, InputError, Partition, SizeLimitError
-from .core import _check_covers, _check_int, _check_k, _first_occurrence, _int_text
-from .entropy import _entropy_bits, _min_entropy_bits
+from .core import _check_covers, _check_int, _check_k, _first_occurrence, _int_text, _int_tuple
+from .entropy import _entropy_bits, _min_entropy_bits, _terms_bits
 from .huffman import _merge, _merge_cost_sorted
 
 OBJECTIVES = (
@@ -328,7 +328,7 @@ def _guard_oracle(n: int, k: int) -> None:
         raise SizeLimitError(f"oracle handles at most k={MAX_ORACLE_K}, got {k}")
 
 
-def _slot_table(w, k: int, objective: str) -> tuple[list, list] | tuple[None, None]:
+def _slot_table(w, objective: str) -> tuple[list, list]:
     """(t, sums): the objective's per-block term and the subset sum, each
     indexed by subset mask, filled in one pass that serves every sweep.
 
@@ -336,11 +336,9 @@ def _slot_table(w, k: int, objective: str) -> tuple[list, list] | tuple[None, No
     Compression's t is the merge cost of the members, entropy's q * log2(q)
     of the subset sum q (0.0 for the empty block), and every other t is
     sums itself. Each half of a table fills from the half below its top
-    bit, so members come out ascending: O(2**n) entries. At k = 1 the
-    sweep needs no table, and (None, None) is returned.
+    bit, so members come out ascending: O(2**n) entries, at every k, k = 1
+    included, whose one partition is scored from them as any other.
     """
-    if k == 1:
-        return None, None
     sums = [0]
     if objective == "compression":
         members: list[list[int]] = [[]]
@@ -354,6 +352,12 @@ def _slot_table(w, k: int, objective: str) -> tuple[list, list] | tuple[None, No
         log2 = math.log2
         return [q * log2(q) if q else 0.0 for q in sums], sums
     return sums, sums
+
+
+def _entropy_cut(total: int, best: float) -> float:
+    """The most a partition's terms may add up to while its entropy stays
+    within _ENTROPY_TOL of best, with 1e-12 bits of slack on that entropy."""
+    return (math.log2(total) - (best - _ENTROPY_TOL) + 1e-12) * total
 
 
 # Innermost levels of the sweep, one per swept objective. Each walks the
@@ -447,24 +451,20 @@ def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
     # correctly rounded fsum only where the plain sum of the nonnegative
     # terms, within a few ulps of it, is under cut: the 1e-12 slack on h is
     # far above that error, so no partition the band would keep is skipped
-    fsum = math.fsum
-    top = math.log2(total)
     floor = best - _ENTROPY_TOL
-    cut = (top - floor + 1e-12) * total
+    cut = _entropy_cut(total, best)
     base = sum(agg)
     s = r2
     while True:
         a = low | s
         b = r2 ^ s
         if base + t[a] + t[b] <= cut:
-            h = top - fsum((*agg, t[a], t[b])) / total
-            if h < 0.0:
-                h = 0.0
+            h = _terms_bits((*agg, t[a], t[b]), total)
             if h >= floor:
                 if h > best:
                     best = h
                     floor = h - _ENTROPY_TOL
-                    cut = (top - floor + 1e-12) * total
+                    cut = _entropy_cut(total, h)
                     picks[:] = [e for e in picks if e[0] >= floor]
                 picks.append((h, pre + (a, b)))
         if not s:
@@ -599,9 +599,7 @@ def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
     # cut. m, the least t[a] + t[b] over r's splits, bounds those sums from
     # below up to rounding, which one more 1e-12 * total of slack covers; a
     # choice past that gets no scan, since the scan would keep nothing
-    top = math.log2(total)
-    slack = 1e-12 * total
-    cut = (top - (best - _ENTROPY_TOL) + 1e-12) * total + slack
+    cut = _entropy_cut(total, best) + 1e-12 * total
     base = sum(agg)
     s = r2
     while True:
@@ -615,7 +613,7 @@ def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
             best = _last_two_entropy(
                 t, total, low_r, r ^ low_r, pre + (b,), (*agg, t[b]), best, picks
             )
-            cut = (top - (best - _ENTROPY_TOL) + 1e-12) * total + slack
+            cut = _entropy_cut(total, best) + 1e-12 * total
         if not s:
             return best
         s = (s - 1) & r2
@@ -671,7 +669,7 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
         # least, which grows with the block holding x. The cut is
         # _last_three_entropy's, whose extra 1e-12 * total of slack covers
         # the rounding on both sides
-        cut = (math.log2(total) - (best - _ENTROPY_TOL) + 1e-12) * total + 1e-12 * total
+        cut = _entropy_cut(total, best) + 1e-12 * total
         if j > 1 and x * j > R:
             rest = R - x
             least = x * math.log2(x) + (rest * math.log2(rest / (j - 1)) if rest else 0.0)
@@ -709,8 +707,7 @@ def _incumbent(t, s, w, total, k: int, objective: str, first: int, rest: int):
     for b in blocks:
         agg = fold(agg, t[b])
     if objective == "entropy":
-        h = math.log2(total) - math.fsum(agg) / total
-        return 0.0 if h < 0.0 else h
+        return _terms_bits(agg, total)
     return agg[0] - agg[1] if objective == "min_diff" else agg
 
 
@@ -750,21 +747,12 @@ def _sweep(t, sums, w, k: int, objective: str, joined: int = 0, within: int | No
     """
     last_two, last_three, fold, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
-    members = [x for p, x in enumerate(w) if full >> p & 1]
-    total = sum(members)
-    if k == 1:
-        # one partition, every position in one block
-        if objective == "compression":
-            best = _merge_cost_sorted(members)
-        elif objective == "entropy":
-            best = _entropy_bits((total,), total)
-        elif objective == "min_diff":
-            best = 0
-        else:
-            best = total
-        return best, [(full,)]
+    total = sums[full]
     first = (full & -full) | joined
     best = _incumbent(t, sums, w, total, k, objective, first, full ^ first)
+    if k == 1:
+        # the greedy put every position in block 0: the only partition
+        return best, [(full,)]
     picks: list = []
     summ = [None] * (full + 1) if k > 3 else None
 
@@ -799,9 +787,9 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     """Exhaustively optimize one objective over all partitions into <= k blocks.
 
     Sorts the elements by weight, fills the per-block terms and subset
-    sums of all 2**n subsets in one _slot_table pass (O(2**n), skipped at
-    k = 1), then sweeps the partitions with O(1) lookups in them, as the
-    module docstring describes. partitions_searched is every partition,
+    sums of all 2**n subsets in one _slot_table pass (O(2**n)), then
+    sweeps the partitions with O(1) lookups in them, as the module
+    docstring describes. partitions_searched is every partition,
     covered whether scored or ruled out: the Stirling sum over j <= k.
     Exact integer objectives compare exactly; entropy keeps every
     partition within 1e-9 of the best. Two objectives reduce exactly to
@@ -822,7 +810,7 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     swept = "min_max" if objective in ("max_min", "min_entropy") else objective
     if objective == "max_min":
         w = [-x for x in w]
-    best, picks = _sweep(*_slot_table(w, k, swept), w, k, swept)
+    best, picks = _sweep(*_slot_table(w, swept), w, k, swept)
     if objective == "max_min":
         best = -best
     elif objective == "min_entropy":
@@ -883,7 +871,7 @@ def verify_lemma2(inst: Instance, k: int) -> Lemma2Report:
         raise InputError(f"requires n > k, got n={n} and k={k}")
     _guard_oracle(n, k)
     w = sorted(inst.weights)
-    t, sums = _slot_table(w, k, "compression")
+    t, sums = _slot_table(w, "compression")
     un_min = _sweep(t, sums, w, k, "compression")[0]
     con_min = _sweep(t, sums, w, k, "compression", joined=0b10)[0]
     return Lemma2Report(un_min, con_min, _partitions_up_to(n, k))
@@ -899,9 +887,7 @@ def conditional_subinstance(
     rejected.
     """
     _check_covers(inst, p)
-    labels = list(labels)
-    for label in labels:
-        _check_int("label", label)
+    labels = _int_tuple("label", labels)
     lset = set(labels)
     if not lset or not lset.issubset(range(p.k)):
         raise InputError("labels must be a nonempty subset of range(k)")
@@ -935,8 +921,7 @@ def verify_principle_of_optimality(
             raise InputError(f"trials must be non-negative, got {_int_text(trials)}")
     _guard_oracle(len(inst.weights), k)
     w = sorted(inst.weights)
-    # at k = 1 both are None: that sweep reads no table, and nothing splits
-    t, sums = _slot_table(w, k, "entropy")
+    t, sums = _slot_table(w, "entropy")
     full = (1 << len(w)) - 1
     best, optima = _sweep(t, sums, w, k, "entropy")
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,54 @@ def test_trace_lines_are_rendered_one_at_a_time():
         tracemalloc.stop()
     assert count == len(trace) + 1
     assert peak < 1_000_000, peak
+
+
+def _replayed_merge_lists(weights, trace):
+    """Each merge list as a reference renders it: every cell formatted again
+    per line, and each consumed value found by bisection."""
+    values = sorted(weights)
+    merged = [False] * len(values)
+    lines = []
+    for step in [None, *trace.steps]:
+        if step is not None:
+            va, vb, vm = step
+            for v in (va, vb):
+                idx = bisect_left(values, v)
+                del values[idx], merged[idx]
+            idx = bisect_left(values, vm)
+            values.insert(idx, vm)
+            merged.insert(idx, True)
+        cells = [f"*{v}*" if m else str(v) for v, m in zip(values, merged)]
+        lines.append("(" + ", ".join(cells) + ")")
+    return lines
+
+
+def _trace_corpus():
+    rng = random.Random("cli:trace-corpus")
+    return {
+        "log-uniform 41": [int(2 ** rng.uniform(0, 40)) for _ in range(41)],
+        "log-uniform 1000": [int(2 ** rng.uniform(0, 40)) for _ in range(1000)],
+        "weights 1-4": [rng.randint(1, 4) for _ in range(300)],
+        "all equal": [7] * 200,
+        "three weights": [5, 3, 3],
+        "n <= k": [5],
+    }
+
+
+_TRACE_CORPUS = _trace_corpus()
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+@pytest.mark.parametrize("name", list(_TRACE_CORPUS))
+def test_trace_lines_match_the_replayed_lists(capsys, name, k):
+    weights = _TRACE_CORPUS[name]
+    code, out, _ = run(capsys, "trace", "-k", str(k), "--list", ",".join(map(str, weights)))
+    assert code == 0
+    _, trace = stopped_huffman(Instance(tuple(weights)), k)
+    want = _replayed_merge_lists(weights, trace)
+    lines = out.splitlines()
+    assert lines[: len(want)] == want
+    assert lines[len(want)] == "final groups:"
 
 
 def test_trace_json_round_trips_through_evaluate(capsys):
@@ -602,6 +651,27 @@ def test_file_input_with_comments(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "-k", "2", "--file", str(f), "--json")
     assert code == 0
     assert json.loads(out)["instance"] == [1, 1, 2, 3, 4, 5]
+
+
+def test_file_with_a_byte_order_mark_solves_as_without_one(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    marked = tmp_path / "marked.txt"
+    plain.write_bytes(b"1\n1 2 3 4 5\n")
+    marked.write_bytes(b"\xef\xbb\xbf1\n1 2 3 4 5\n")
+    want = run(capsys, "solve", "-k", "2", "--file", str(plain))
+    assert want[0] == 0
+    assert run(capsys, "solve", "-k", "2", "--file", str(marked)) == want
+
+
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"1 2\xff 3\n")
+    args = cli._build_parser().parse_args(["solve", "-k", "2", "--file", str(f)])
+    with pytest.raises(kpart.InputError, match="cannot read"):
+        cli._load_instance(args)
+    code, out, err = run(capsys, "solve", "-k", "2", "--file", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {f}: ")
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -473,6 +473,23 @@ def test_dist_validation():
         Dist((4,), 4, members=(0, 1))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((0.5, 0.5), 1), "numerator must be an integer, got 0.5"),
+        (((1, False), 1), "numerator must be an integer, got False"),
+        (("ab", 2), "numerator must be an integer, got 'a'"),
+        ((5, 5), "numerators must be an iterable of integers, got 5"),
+        (((1, 1), 2, 5), "members must be an iterable of integers, got 5"),
+        (((1, 1), 2, (0, 1.0)), "member must be an integer, got 1.0"),
+    ],
+)
+def test_dist_holds_integers_only(args, message):
+    with pytest.raises(InputError) as exc:
+        Dist(*args)
+    assert str(exc.value) == message
+
+
 def test_dist_needs_an_entry():
     with pytest.raises(InputError, match="needs at least one entry"):
         Dist((), 1)
@@ -500,9 +517,10 @@ def test_conditional_dist_rejects_a_label_that_is_not_an_int(worked_instance, la
         conditional_dist(worked_instance, p, label)
 
 
-# an integer argument of four public entry points, by the name their
+# an integer argument of five public entry points, by the name their
 # message gives it
 _INT_ARGUMENTS = {
+    "denominator": lambda x: Dist((1,), x),
     "split point": lambda x: grouping_identity_residual(Dist((1, 1, 2), 4), x),
     "label": lambda x: conditional_subinstance(
         Instance((1, 2, 3)), Partition((0, 1, 1), 2), [x]

@@ -598,7 +598,7 @@ def _summary_level_run(monkeypatch, inst, k, objective):
         m.setattr(solver, last_two.__name__, two)
         m.setitem(solver._SWEEPS, objective, (last_two, three, *rest))
         w = sorted(inst.weights)
-        _, picks = solver._sweep(*solver._slot_table(w, k, objective), w, k, objective)
+        _, picks = solver._sweep(*solver._slot_table(w, objective), w, k, objective)
     return choices, scanned, picks
 
 
@@ -710,7 +710,7 @@ def test_joined_sweep_starts_from_a_partition_of_its_own_family(objective, expec
     # two-block partition. A seed from outside the family, the greedy
     # {3} {1, 2}, scores min_diff 0 and would leave no optimum
     w = [1, 2, 3]
-    t, sums = solver._slot_table(w, 2, objective)
+    t, sums = solver._slot_table(w, objective)
     assert solver._sweep(t, sums, w, 2, objective, joined=0b100) == expected
 
 
@@ -719,7 +719,7 @@ def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
     w = list(inst.weights)
     want = _rgs_oracle(inst, 2)
     for objective in ("min_max", "min_diff", "product_of_sums", "compression"):
-        t, sums = solver._slot_table(w, 2, objective)
+        t, sums = solver._slot_table(w, objective)
         seed = solver._incumbent(t, sums, w, inst.total, 2, objective, 1, 0b1111110)
         res = brute_force(inst, 2, objective)
         assert seed == res.best_value and len(res.optimal_partitions) == 35, objective
@@ -770,7 +770,7 @@ def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
     prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
     prefix = [b for b in prefix if b]
-    t, sums = solver._slot_table(w, 2, swept)
+    t, sums = solver._slot_table(w, swept)
     _, _, fold, agg = solver._SWEEPS[swept]
     for b in prefix:
         agg = fold(agg, t[b])
@@ -803,7 +803,7 @@ def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x,
     swept = "min_max" if objective == "max_min" else objective
     if objective == "max_min":
         w = [-y for y in w]
-    t, sums = solver._slot_table(w, 2, swept)
+    t, sums = solver._slot_table(w, swept)
     _, _, fold, agg = solver._SWEEPS[swept]
     for b in prefix:
         agg = fold(agg, t[b])
@@ -1026,6 +1026,15 @@ def test_conditional_subinstance_examples(worked_instance):
     assert members == [4, 5]
     sub, members = conditional_subinstance(worked_instance, p, [0])
     assert sub.weights == (1, 1, 2, 3)
+
+
+@pytest.mark.parametrize("labels", [1, None])
+def test_conditional_subinstance_rejects_labels_that_are_not_iterable(
+    worked_instance, labels
+):
+    p = Partition((0, 0, 0, 0, 1, 1), 2)
+    with pytest.raises(InputError, match="labels must be an iterable of integers"):
+        conditional_subinstance(worked_instance, p, labels)
 
 
 def test_conditional_subinstance_degenerate_splits(worked_instance):
