@@ -520,13 +520,13 @@ def test_conditional_dist_rejects_a_label_that_is_not_an_int(worked_instance, la
 # an integer argument of five public entry points, by the name their
 # message gives it
 _INT_ARGUMENTS = {
-    "denominator": lambda x: Dist((1,), x),
     "split point": lambda x: grouping_identity_residual(Dist((1, 1, 2), 4), x),
     "label": lambda x: conditional_subinstance(
         Instance((1, 2, 3)), Partition((0, 1, 1), 2), [x]
     ),
     "trials": lambda x: verify_principle_of_optimality(Instance((1, 2, 3)), 2, x),
     "k": lambda x: verify_lemma2(Instance((1, 2, 3)), x),
+    "denominator": lambda x: Dist((1,), x),
 }
 
 
