@@ -47,11 +47,11 @@ class Instance:
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ws = tuple(self.weights)
-        object.__setattr__(self, "weights", ws)
+        ws, total = _check_weights(self.weights)
         if not ws:
             raise InputError("an instance needs at least one weight")
-        object.__setattr__(self, "total", _check_weights(ws))
+        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "total", total)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -64,27 +64,30 @@ class Partition:
     Equality and hashing are label-invariant: two partitions are equal when
     they induce the same grouping regardless of label names. canonical()
     relabels groups in first-occurrence order.
+
+    Construction checks k, then each label (an int, not a bool, in [0, k));
+    _derived skips those checks for labels the library computed itself.
     """
 
     assignment: tuple[int, ...]
     k: int
 
     def __post_init__(self) -> None:
-        a = tuple(self.assignment)
-        object.__setattr__(self, "assignment", a)
         _check_k(self.k)
+        a = _int_tuple("label", self.assignment)
+        object.__setattr__(self, "assignment", a)
         if not a:
             raise InputError("assignment must cover at least one element")
-        # one summing pass, as in _check_weights: any label that is not an
-        # integer makes the sum fail or come out as another type
-        try:
-            label_sum = sum(a)
-        except TypeError:
-            raise InputError("assignment labels must be integers") from None
-        if not isinstance(label_sum, int):
-            raise InputError("assignment labels must be integers")
         if min(a) < 0 or max(a) >= self.k:
             raise InputError("assignment labels must lie in [0, k)")
+
+    @classmethod
+    def _derived(cls, assignment: tuple[int, ...], k: int) -> "Partition":
+        """A Partition built without __post_init__, for a nonempty tuple of
+        ints in [0, k) under a checked k, as the library derives them."""
+        part = object.__new__(cls)
+        part.__dict__.update(assignment=assignment, k=k)
+        return part
 
     def canonical(self) -> "Partition":
         """Relabel groups in first-occurrence order; idempotent."""
@@ -92,7 +95,7 @@ class Partition:
         used = self.k - perm.count(-1)
         if perm[:used] == list(range(used)):
             return self
-        return Partition(tuple(map(perm.__getitem__, self.assignment)), self.k)
+        return Partition._derived(tuple(map(perm.__getitem__, self.assignment)), self.k)
 
     def groups(self) -> tuple[tuple[int, ...], ...]:
         """Member indices per label; empty groups are empty tuples."""
@@ -165,8 +168,9 @@ class SubsetSums:
     total: int
 
     def __post_init__(self) -> None:
-        sums = tuple(self.sums)
+        sums = _int_tuple("sum", self.sums)
         object.__setattr__(self, "sums", sums)
+        _check_int("total", self.total)
         if sum(sums) != self.total:
             raise InputError("subset sums must conserve the instance total")
 
@@ -183,16 +187,13 @@ def _int_text(x: int) -> str:
         return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
 
 
-def _check_weights(ws) -> int:
-    """Total of ws, held to the Instance rules; an empty list passes as 0."""
+def _check_weights(ws) -> tuple[tuple[int, ...], int]:
+    """ws as a tuple and its total, held to the Instance rules: an iterable
+    of ints, not bools, each in [1, MAX_WEIGHT], at most MAX_ELEMENTS of
+    them. An empty iterable passes as ((), 0)."""
+    ws = _int_tuple("weight", ws)
     if len(ws) > MAX_ELEMENTS:
         raise SizeLimitError(f"{len(ws)} elements exceed the limit of {MAX_ELEMENTS}")
-    try:
-        total = sum(ws)
-    except TypeError:
-        raise InputError("weights must be integers") from None
-    if not isinstance(total, int):
-        raise InputError("weights must be integers")
     if ws:
         if min(ws) < 1:
             raise InputError(f"weights must be positive, got {_int_text(min(ws))}")
@@ -200,7 +201,7 @@ def _check_weights(ws) -> int:
             raise SizeLimitError(
                 f"weight {_int_text(max(ws))} exceeds the limit of {MAX_WEIGHT}"
             )
-    return total
+    return ws, sum(ws)
 
 
 def _check_int(name: str, x) -> None:

@@ -28,13 +28,14 @@ _SENTINEL = 1 << 62
 
 
 def _merge(vals: list[int], k: int) -> tuple[list[int], list[int], int, int]:
-    """Merge the two smallest values of ascending vals until k remain.
+    """Merge the two smallest values of ascending vals until at most k remain.
 
     vals grows in place to the node-value array: ids 0..n-1 are the sorted
     leaves, n a sentinel, n+1.. the merged nodes in creation order. Returns
     the child-id columns, left[t] and right[t] merged into node n+1+t, and
-    the queue fronts: leaves i..n-1 and merged nodes j.. are the k values
-    left. Needs 1 <= k <= n and values inside the size envelope.
+    the queue fronts: leaves i..n-1 and merged nodes j.. are the values
+    left. Needs k >= 1 and values inside the size envelope. With k >= n it
+    merges nothing: both columns are empty, i = 0 and j = n + 1.
     """
     n = len(vals)
     merges = n - k
@@ -93,15 +94,14 @@ def build_huffman(weights) -> HuffmanCode:
     """Construct an optimal prefix-free code over positive integer weights.
 
     Lengths are reported in input order. Runs in O(n log n): one sort, then
-    a linear merge loop. Weights follow the Instance rules (positive
-    integers inside the size envelope); InputError or SizeLimitError
-    otherwise, and InputError for no weights at all.
+    a linear merge loop. Weights follow the Instance rules (an iterable of
+    positive ints, not bools, inside the size envelope); InputError or
+    SizeLimitError otherwise, and InputError for no weights at all.
     """
-    ws = list(weights)
+    ws, total = _check_weights(weights)
     n = len(ws)
     if n == 0:
         raise InputError("cannot build a code over no symbols")
-    total = _check_weights(ws)
     order = sorted(range(n), key=ws.__getitem__)
     vals = [ws[p] for p in order]
     left, right, _, _ = _merge(vals, 1)
@@ -131,10 +131,7 @@ def merge_cost(weights) -> int:
     Equals build_huffman(weights).cost_numerator without building lengths;
     0 for fewer than two symbols. Accepts the same weights as build_huffman.
     """
-    ws = list(weights)
-    _check_weights(ws)
-    ws.sort()
-    return _merge_cost_sorted(ws)
+    return _merge_cost_sorted(sorted(_check_weights(weights)[0]))
 
 
 def _merge_cost_sorted(ws) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .core import Instance, Partition, _check_covers, subset_sums
+from .core import Instance, Partition, _check_covers, _check_int, subset_sums
 from .entropy import _entropy_bits, _min_entropy_bits
 from .huffman import _merge_cost_sorted
 
@@ -67,13 +67,16 @@ def evaluate(inst: Instance, p: Partition, cost: int | None = None) -> Objective
     """Compute every objective for one partition.
 
     cost, when known, is p's compression numerator and spares regrouping the
-    weights; for a stopped_huffman partition it is the trace's cost.
+    weights; for a stopped_huffman partition it is the trace's cost. A cost
+    that is not an int, or is a bool, raises InputError.
     """
     sums = subset_sums(inst, p).sums
     lo = min(sums)
     hi = max(sums)
     prod = math.prod(sums)
-    cnum = compression_cost(inst, p) if cost is None else cost
+    if cost is None:
+        cost = compression_cost(inst, p)
+    _check_int("cost", cost)
     return ObjectiveReport(
         min_diff=hi - lo,
         min_max=hi,
@@ -82,7 +85,7 @@ def evaluate(inst: Instance, p: Partition, cost: int | None = None) -> Objective
         min_entropy_bits=_min_entropy_bits(hi, inst.total),
         product_of_sums=prod,
         product_overflow=prod > INT64_MAX,
-        compression_numerator=cnum,
-        compression_bits=cnum / inst.total,
+        compression_numerator=cost,
+        compression_bits=cost / inst.total,
         subset_sums=sums,
     )

@@ -140,18 +140,16 @@ class _Optima(Sequence):
     """Read-only sequence of oracle optima, each kept as one integer: the
     canonical assignment over n elements in base 8, first element most
     significant, in an ascending array('Q'). Reading an optimum builds its
-    Partition; the sequence equals, and hashes as, the tuple of them."""
+    Partition, unchecked, since n octal digits with leading zeros kept are
+    canonical labels below k; the sequence equals, and hashes as, the tuple
+    of them."""
 
     def __init__(self, keys: array, n: int, k: int):
         self._keys, self._digits, self._k = keys, f"0{n}o", k
 
     def _partition(self, key: int) -> Partition:
-        # n octal digits, leading zeros kept, are canonical labels below k,
-        # so the Partition is built without its input checks
-        part = object.__new__(Partition)
         labels = format(key, self._digits).encode().translate(_OCTAL)
-        part.__dict__.update(assignment=tuple(labels), k=self._k)
-        return part
+        return Partition._derived(tuple(labels), self._k)
 
     def digits(self):
         """Iterator of each optimum's assignment, in order, as a string of n
@@ -245,18 +243,12 @@ def stopped_huffman(inst: Instance, k: int) -> tuple[Partition, MergeTrace]:
     bisect over the runs' first values, O(n log R); only the copies of a
     weight that straddle a run boundary are walked one by one. With more
     runs, as at large k, an argsort of the weights and a scatter do it,
-    O(n log n).
+    O(n log n). With n <= k nothing merges: each element is its own group,
+    labeled by its index, and the trace has no steps and cost 0.
     """
     _check_k(k)
     ws = inst.weights
     n = len(ws)
-    if n <= k:
-        assignment = tuple(range(n))
-        return (
-            Partition(assignment, k),
-            MergeTrace([], [], [], tuple(sorted(ws))),
-        )
-
     vals = sorted(ws)
     left, right, i, j = _merge(vals, k)
     cur = len(vals)
@@ -291,7 +283,7 @@ def stopped_huffman(inst: Instance, k: int) -> tuple[Partition, MergeTrace]:
         for e, g in zip(sorted(range(n), key=ws.__getitem__), lbl):
             ids[e] = g
         table = _first_occurrence(ids, k)
-    part = Partition(tuple(map(table.__getitem__, ids)), k)
+    part = Partition._derived(tuple(map(table.__getitem__, ids)), k)
     final = tuple(sorted(map(vals.__getitem__, roots)))
     return part, MergeTrace(vals, left, right, final)
 
@@ -849,7 +841,7 @@ def greedy_baseline(inst: Instance, k: int) -> Partition:
         s, lbl = heapq.heappop(heap)
         out[e] = lbl
         heapq.heappush(heap, (s + ws[e], lbl))
-    return Partition(tuple(out), k).canonical()
+    return Partition._derived(tuple(out), k).canonical()
 
 
 # --- verification harnesses --------------------------------------------

@@ -328,6 +328,37 @@ def test_partition_rejects_non_integer_labels_and_k(assignment, k):
         Partition(assignment, k)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Instance(5), "weights must be an iterable of integers, got 5"),
+        (lambda: build_huffman(5), "weights must be an iterable of integers, got 5"),
+        (lambda: merge_cost(None), "weights must be an iterable of integers, got None"),
+        (lambda: Instance((True, 3)), "weight must be an integer, got True"),
+        (lambda: merge_cost([True, True]), "weight must be an integer, got True"),
+        (lambda: Partition(5, 2), "labels must be an iterable of integers, got 5"),
+        (lambda: Partition((True, False), 2), "label must be an integer, got True"),
+        (lambda: Partition((0, False), 2), "label must be an integer, got False"),
+    ],
+    ids=[
+        "instance-int",
+        "build_huffman-int",
+        "merge_cost-none",
+        "instance-bool",
+        "merge_cost-bools",
+        "partition-int",
+        "partition-bools",
+        "partition-false",
+    ],
+)
+def test_weights_and_labels_are_iterables_of_ints_not_bools(call, message):
+    # a non-iterable once raised a bare TypeError, bools passed as ints, and
+    # merge_cost([True, True]) returned 2
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_canonical_relabels_by_first_occurrence():
     p = Partition((1, 1, 0, 2), 3)
     assert p.canonical().assignment == (0, 0, 1, 2)
@@ -419,6 +450,24 @@ def test_subset_sums_must_conserve_the_total():
     assert SubsetSums((1, 2), 3).sums == (1, 2)
     with pytest.raises(InputError, match="must conserve the instance total"):
         SubsetSums((1, 2), 4)
+
+
+@pytest.mark.parametrize(
+    "sums, total, message",
+    [
+        ((1.5, 1.5), 3, "sum must be an integer, got 1.5"),
+        ((True, 2), 3, "sum must be an integer, got True"),
+        ("ab", 3, "sum must be an integer, got 'a'"),
+        (5, 5, "sums must be an iterable of integers, got 5"),
+        ((1, 2), 3.0, "total must be an integer, got 3.0"),
+    ],
+)
+def test_subset_sums_hold_integers_only(sums, total, message):
+    # the first three and the float total were once accepted, and "ab" raised
+    # a bare TypeError
+    with pytest.raises(InputError) as exc:
+        SubsetSums(sums, total)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -64,7 +64,15 @@ def test_rejects_bad_weights():
 
 @pytest.mark.parametrize(
     "ws",
-    [[1.5, 2.5], [1.5, 2, 3], ["a", "b"], [1, 0, 2], [3, -1], [MAX_WEIGHT + 1, 1]],
+    [
+        [1.5, 2.5],
+        [1.5, 2, 3],
+        ["a", "b"],
+        [1, 0, 2],
+        [3, -1],
+        [MAX_WEIGHT + 1, 1],
+        [True, 2],
+    ],
 )
 def test_weights_follow_the_instance_rules(ws):
     # floats once returned a float cost, and strings a bare TypeError

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kpart import (
     INT64_MAX,
+    InputError,
     Instance,
     Partition,
     build_huffman,
@@ -20,6 +21,17 @@ weights_st = st.lists(st.integers(1, 1000), min_size=1, max_size=20)
 def random_partition(data, n, max_k=5):
     k = data.draw(st.integers(1, max_k))
     return Partition(tuple(data.draw(st.integers(0, k - 1)) for _ in range(n)), k)
+
+
+@pytest.mark.parametrize("cost", ["x", 1.5, True, [22]])
+def test_evaluate_takes_an_integer_cost_only(worked_instance, cost):
+    # "x" once raised a bare TypeError, and 1.5 was reported as the
+    # compression numerator
+    p = Partition((0, 0, 0, 0, 1, 1), 2)
+    with pytest.raises(InputError) as exc:
+        evaluate(worked_instance, p, cost)
+    assert str(exc.value) == f"cost must be an integer, got {cost!r}"
+    assert evaluate(worked_instance, p, 22) == evaluate(worked_instance, p)
 
 
 def test_worked_report(worked_instance):

@@ -282,6 +282,22 @@ def test_label_routes_match_argsort_reference_either_side_of_threshold():
         assert (runs <= solver._MAX_LABEL_RUNS) == route_runs, runs
 
 
+def test_n_up_to_k_on_the_argsort_route_matches_the_reference():
+    # n - 1 runs of one label each reach the argsort route once n - 1 is at
+    # least _MAX_LABEL_RUNS; every element is its own group, with no merges
+    rng = random.Random("solver:n-up-to-k")
+    n = 20_000
+    assert n - 1 >= solver._MAX_LABEL_RUNS
+    distinct = tuple(rng.sample(range(1, 1 << 40), n))
+    for ws in ((rng.randint(1, 1 << 40),) * n, distinct):
+        for k in (n, n + 5):
+            part = _check_against_reference(ws, k)
+            assert part.k == k
+            _, trace = stopped_huffman(Instance(ws), k)
+            assert trace.cost == 0
+            assert trace.final_list == tuple(sorted(ws))
+
+
 @settings(max_examples=60)
 @given(
     st.lists(st.integers(1, 50), min_size=1, max_size=10).map(
