@@ -7,7 +7,7 @@ and backs the verification harnesses for the co-grouping lemma and the
 recombination principle.
 
 The oracles share one subset-mask sweep. Over the weights sorted
-ascending, one O(2**n) pass fills the subset sums and the objective's term
+descending, one O(2**n) pass fills the subset sums and the objective's term
 for every subset (the sum, q * log2(q) of it, or Huffman merge cost), and
 every sweep of a call reads those tables. Each partition into <= k blocks
 is then k block masks, and scoring it takes O(1) lookups instead of
@@ -20,20 +20,25 @@ recurs under many choices of the blocks before them: 1,024 remainders
 under 88,574 choices at n = 12, k = 4. So the level that places the
 third-to-last block sweeps each remainder's last two blocks once on their
 own into a summary, kept in a list indexed by the remainder's mask. For
-compression, product_of_sums and min_max the summary settles most choices,
-and the last two blocks are scanned only when it cannot decide. For
-min_diff and entropy it only bounds a choice, and the choices that pass
-the bound are scanned. At k <= 3 each remainder occurs once, so a summary
-would only add a sweep, and those sweeps scan directly.
+compression and product_of_sums the summary settles every choice. For
+min_max it settles a choice whose earlier blocks score no more than the
+summary's best, and a choice whose earlier blocks outweigh the remainder
+is scanned without one. For min_diff and entropy it only bounds a
+choice, and the choices that pass the bound are scanned. At k <= 3 each
+remainder occurs once, so a summary would only add a sweep, and those
+sweeps scan directly.
 
 The sweep is a branch and bound: it starts from a greedy partition's
 score and skips each remainder whose bound is strictly worse than the
 best so far. The bound reads two entries of the subset sums: the
-remainder's sum, and its largest weight, which on wide weights limits
-every completion by itself (the block holding it is at least that heavy;
-the others share what is left). brute_force keeps each optimum as
-one integer, its canonical assignment in base 8 (a restricted growth
-string), and builds its Partition only when it is read.
+remainder's sum, and its largest weight, at its lowest position, which on
+wide weights limits every completion by itself (the block holding it is
+at least that heavy; the others share what is left). Block j holds the
+lowest position no earlier block holds, so block 0 holds the largest
+weight, and, as in Korf's number-partitioning searches, a heavy first
+block is ruled out before any level below it runs. brute_force keeps
+each optimum as one integer, its canonical assignment in base 8 (a
+restricted growth string), and builds its Partition only when it is read.
 """
 
 from __future__ import annotations
@@ -324,18 +329,20 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
     """(t, sums): the objective's per-block term and the subset sum, each
     indexed by subset mask, filled in one pass that serves every sweep.
 
-    Bit p of a mask stands for sorted position p of the ascending weights w.
-    Compression's t is the merge cost of the members, entropy's q * log2(q)
-    of the subset sum q (0.0 for the empty block), and every other t is
-    sums itself. Each half of a table fills from the half below its top
-    bit, so members come out ascending: O(2**n) entries, at every k, k = 1
-    included, whose one partition is scored from them as any other.
+    Bit p of a mask stands for sorted position p of the descending weights
+    w. Compression's t is the merge cost of the members, entropy's
+    q * log2(q) of the subset sum q (0.0 for the empty block), and every
+    other t is sums itself. Each half of a table fills from the half below
+    its top bit, whose weight is no larger than any below it, so it goes
+    first and the members come out ascending, as _merge_cost_sorted reads
+    them: O(2**n) entries, at every k, k = 1 included, whose one partition
+    is scored from them as any other.
     """
     sums = [0]
     if objective == "compression":
         members: list[list[int]] = [[]]
         for x in w:
-            members += [g + [x] for g in members]
+            members += [[x] + g for g in members]
             sums += [q + x for q in sums]
         return list(map(_merge_cost_sorted, members)), sums
     for x in w:
@@ -525,20 +532,29 @@ def _last_three_product(t, total, low, r2, pre, agg, best, picks, summ):
         s = (s - 1) & r2
 
 
+# a summary that settles no choice, so the choice is scanned
+_SCAN = (-math.inf, ())
+
+
 def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
     # with a = max(agg, t[b]) <= m every split scores max(a, its own max),
     # so the summary's splits are the best ones; above m, a split ties at a
-    # whenever its own max is at most a, and only a scan finds them
+    # whenever its own max is at most a, and only a scan finds them. Over
+    # sums >= 0 no split's own max exceeds t[r], so with a >= t[r] the
+    # choice is scanned without a summary
     s = r2
     while True:
         b = low | s
         r = r2 ^ s
-        e = summ[r]
-        if e is None:
-            e = summ[r] = _summary(_last_two_min_max, t, total, r, -math.inf, math.inf)
         a = t[b]
         if agg > a:
             a = agg
+        e = summ[r]
+        if e is None:
+            if 0 <= t[r] <= a:
+                e = _SCAN
+            else:
+                e = summ[r] = _summary(_last_two_min_max, t, total, r, -math.inf, math.inf)
         m = e[0]
         if a <= m:
             if m <= best:
@@ -635,7 +651,7 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
     proven bound on r's best completion is strictly worse than best.
 
     The bounds read R = s[r], r's subset sum, and x, the subset sum of r's
-    top sorted position: its largest weight, or under max_min's negated
+    lowest sorted position: its largest weight, or under max_min's negated
     weights its most negative one. On wide weights x dominates R, and the
     block holding it limits every completion more than R / j does. At
     j = 1 the one block is r itself, and the bounds read R alone.
@@ -645,8 +661,8 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
         # merging the j blocks' Huffman trees into one for r costs at most
         # (j - 1) * R, and no tree for r costs less than t[r]
         return agg + t[r] - (j - 1) * R > best
-    # 1 << (bit_length - 1), or 0 for the empty remainder, whose x is 0
-    x = s[1 << r.bit_length() >> 1]
+    # r's lowest bit, or 0 for the empty remainder, whose x is 0
+    x = s[r & -r]
     if objective == "product_of_sums":
         if j > 1 and x * j > R:
             # the block holding x sums to some y >= x > R / j, the other
@@ -683,15 +699,14 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
     return max(agg[0], hi, x) - min(agg[1], lo) > best
 
 
-def _incumbent(t, s, w, total, k: int, objective: str, first: int, rest: int):
+def _incumbent(t, w, total, k: int, objective: str, full: int):
     """Score, as the innermost level scores it, of a largest-first greedy
-    partition: block 0 starts as the mask first, and each position of the
-    mask rest, from the top down, joins the lowest block nearest sum 0.
-    s is the subset-sum table."""
-    blocks = [first] + [0] * (k - 1)
-    sums = [s[first]] + [0] * (k - 1)
-    for p in reversed(range(len(w))):
-        if rest >> p & 1:
+    partition of the positions in the mask full: each, from position 0 up,
+    so the largest weight first, joins the lowest block nearest sum 0."""
+    blocks = [0] * k
+    sums = [0] * k
+    for p in range(len(w)):
+        if full >> p & 1:
             i = sums.index(min(sums, key=abs))
             blocks[i] |= 1 << p
             sums[i] += w[p]
@@ -712,20 +727,21 @@ def _partitions_up_to(n: int, k: int) -> int:
     return sum(row)
 
 
-def _sweep(t, sums, w, k: int, objective: str, joined: int = 0, within: int | None = None):
+def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
     """Find every optimum among the partitions of the sorted positions
     into <= k blocks.
 
-    t and sums are the two tables _slot_table filled over the ascending
+    t and sums are the two tables _slot_table filled over the descending
     weights w; the sweep reads them and builds none. A partition is k
     block masks: block j holds the lowest position no earlier block holds,
     plus any subset of the positions left, and unused slots are mask 0. So
-    each set partition appears exactly once, and an unused slot adds the
-    zero sum objectives.py counts for it. joined, a mask of positions,
-    keeps only the partitions whose first block holds them too. within, a
-    mask of positions, sweeps those alone, as the whole instance of their
-    weights: the same table entries in the same order, since a submask
-    keeps its positions ascending.
+    each set partition appears exactly once, block 0 holds the largest
+    weight, and an unused slot adds the zero sum objectives.py counts for
+    it. within, a mask of positions, sweeps those alone, as the whole
+    instance of their weights: the same table entries in the same order,
+    since a submask keeps its positions descending. Every bound but
+    compression's reads a remainder's largest weight at its lowest
+    position, so only compression may be swept over w in any other order.
 
     The best starts at a greedy partition's score from this same family,
     so no tie at a worse value is kept, and each level that places a
@@ -740,17 +756,16 @@ def _sweep(t, sums, w, k: int, objective: str, joined: int = 0, within: int | No
     last_two, last_three, fold, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
     total = sums[full]
-    first = (full & -full) | joined
-    best = _incumbent(t, sums, w, total, k, objective, first, full ^ first)
+    best = _incumbent(t, w, total, k, objective, full)
     if k == 1:
         # the greedy put every position in block 0: the only partition
         return best, [(full,)]
     picks: list = []
     summ = [None] * (full + 1) if k > 3 else None
 
-    def place(rem, slots, pre, agg, must):
+    def place(rem, slots, pre, agg):
         nonlocal best
-        low = (rem & -rem) | must
+        low = rem & -rem
         r2 = rem ^ low
         if slots == 2:
             best = last_two(t, total, low, r2, pre, agg, best, picks)
@@ -764,12 +779,12 @@ def _sweep(t, sums, w, k: int, objective: str, joined: int = 0, within: int | No
             r = r2 ^ s
             a = fold(agg, t[b])
             if not _skip(objective, t, sums, total, a, r, slots - 1, best):
-                place(r, slots - 1, pre + (b,), a, 0)
+                place(r, slots - 1, pre + (b,), a)
             if not s:
                 return
             s = (s - 1) & r2
 
-    place(full, k, (), agg0, joined)
+    place(full, k, (), agg0)
     if objective == "entropy":
         picks = [blocks for _, blocks in picks]
     return best, picks
@@ -778,9 +793,9 @@ def _sweep(t, sums, w, k: int, objective: str, joined: int = 0, within: int | No
 def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     """Exhaustively optimize one objective over all partitions into <= k blocks.
 
-    Sorts the elements by weight, fills the per-block terms and subset
-    sums of all 2**n subsets in one _slot_table pass (O(2**n)), then
-    sweeps the partitions with O(1) lookups in them, as the module
+    Sorts the elements by weight, largest first, fills the per-block terms
+    and subset sums of all 2**n subsets in one _slot_table pass (O(2**n)),
+    then sweeps the partitions with O(1) lookups in them, as the module
     docstring describes. partitions_searched is every partition,
     covered whether scored or ruled out: the Stirling sum over j <= k.
     Exact integer objectives compare exactly; entropy keeps every
@@ -797,7 +812,7 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
         )
     n = len(inst.weights)
     _guard_oracle(n, k)
-    order = sorted(range(n), key=inst.weights.__getitem__)
+    order = sorted(range(n), key=inst.weights.__getitem__, reverse=True)
     w = [inst.weights[e] for e in order]
     swept = "min_max" if objective in ("max_min", "min_entropy") else objective
     if objective == "max_min":
@@ -851,21 +866,26 @@ def verify_lemma2(inst: Instance, k: int) -> Lemma2Report:
     """Check that co-grouping the two smallest weights cannot hurt compression.
 
     Fills the compression and subset-sum tables once, O(2**n), and both
-    sweeps read them: every partition into at most k blocks, for the least
-    integer compression cost, and the partitions whose first block holds
-    sorted positions 0 and 1, the two smallest weights, with O(1) lookups
-    per partition. partitions_searched counts the first sweep's partitions.
-    Requires n > k.
+    sweeps read them with O(1) lookups per partition. The first sweeps
+    every partition into at most k blocks, for the least integer
+    compression cost. The second sweeps the partitions that put the two
+    smallest weights, at the top two sorted positions, in one block. They
+    are the partitions of n - 1 positions whose last stands for both, and
+    their tables are views of the same two: the entries without either
+    weight, then those with both. partitions_searched counts the first
+    sweep's partitions. Requires n > k.
     """
     _check_k(k)
     n = len(inst.weights)
     if n <= k:
         raise InputError(f"requires n > k, got n={n} and k={k}")
     _guard_oracle(n, k)
-    w = sorted(inst.weights)
+    w = sorted(inst.weights, reverse=True)
     t, sums = _slot_table(w, "compression")
     un_min = _sweep(t, sums, w, k, "compression")[0]
-    con_min = _sweep(t, sums, w, k, "compression", joined=0b10)[0]
+    q = 1 << (n - 2)
+    w2 = w[:-2] + [w[-2] + w[-1]]
+    con_min = _sweep(t[:q] + t[3 * q :], sums[:q] + sums[3 * q :], w2, k, "compression")[0]
     return Lemma2Report(un_min, con_min, _partitions_up_to(n, k))
 
 
@@ -912,7 +932,7 @@ def verify_principle_of_optimality(
         if trials < 0:
             raise InputError(f"trials must be non-negative, got {_int_text(trials)}")
     _guard_oracle(len(inst.weights), k)
-    w = sorted(inst.weights)
+    w = sorted(inst.weights, reverse=True)
     t, sums = _slot_table(w, "entropy")
     full = (1 << len(w)) - 1
     best, optima = _sweep(t, sums, w, k, "entropy")

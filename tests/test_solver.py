@@ -588,6 +588,36 @@ def test_summary_level_matches_the_rgs_oracle():
             assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
 
 
+log_uniform_weights = st.floats(0.0, 40.0).map(lambda u: min(MAX_WEIGHT, int(2.0**u)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(log_uniform_weights, min_size=1, max_size=9),
+        st.lists(st.integers(1, 4), min_size=1, max_size=9),
+    ),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+def test_oracle_results_do_not_depend_on_input_order(ws, k, rnd):
+    # the sweep sees the weights sorted, so a shuffle of the input only
+    # relabels its optima: the same value and count, and the same optima
+    # read through the permutation
+    perm = list(range(len(ws)))
+    rnd.shuffle(perm)
+    inst, shuffled = Instance(tuple(ws)), Instance(tuple(ws[e] for e in perm))
+    for objective in OBJECTIVES:
+        res, other = brute_force(inst, k, objective), brute_force(shuffled, k, objective)
+        assert res.best_value == other.best_value, objective
+        assert res.partitions_searched == other.partitions_searched, objective
+        mapped = sorted(
+            Partition(tuple(p.assignment[e] for e in perm), k).canonical().assignment
+            for p in res.optimal_partitions
+        )
+        assert mapped == [p.assignment for p in other.optimal_partitions], objective
+
+
 def _summary_level_run(monkeypatch, inst, k, objective):
     """Sweep one objective with its two lowest levels wrapped.
 
@@ -613,18 +643,17 @@ def _summary_level_run(monkeypatch, inst, k, objective):
     with monkeypatch.context() as m:
         m.setattr(solver, last_two.__name__, two)
         m.setitem(solver._SWEEPS, objective, (last_two, three, *rest))
-        w = sorted(inst.weights)
+        w = sorted(inst.weights, reverse=True)
         _, picks = solver._sweep(*solver._slot_table(w, objective), w, k, objective)
     return choices, scanned, picks
 
 
 def test_summary_level_takes_each_branch(monkeypatch):
-    # min_max: with 10 in the last two blocks, every prefix scores at most
-    # 6 <= m, and the summary settles the choice; with 10 in the third-to-last
-    # block, a = 10 > m, and a scan finds the ties at 10
-    choices, scanned, picks = _summary_level_run(
-        monkeypatch, Instance((1,) * 6 + (10,)), 4, "min_max"
-    )
+    # min_max on six equal weights: with four left for the last two blocks,
+    # m = 2, a prefix of two singletons scores a = 1 <= m, and the summary
+    # settles the choice; with two left, a prefix of two pairs scores a = 2,
+    # no less than their sum, and a scan finds the ties at 2
+    choices, scanned, picks = _summary_level_run(monkeypatch, Instance((1,) * 6), 4, "min_max")
     prefixes = {blocks[:2] for blocks in picks}
     assert 0 < len(scanned) < choices
     assert prefixes & set(scanned) and prefixes - set(scanned)
@@ -678,8 +707,8 @@ def test_partitions_searched_is_exact():
 
 
 def test_each_oracle_call_fills_its_tables_once(monkeypatch):
-    # every sweep of a call, theorem1's side sweeps and lemma2's joined one
-    # too, reads the two tables its caller filled
+    # every sweep of a call, theorem1's side sweeps and lemma2's constrained
+    # one too, reads the two tables its caller filled
     fills = 0
     slot_table = solver._slot_table
 
@@ -717,17 +746,31 @@ def test_entropy_sweep_memory_stays_flat():
     assert peak < 4_000_000, peak
 
 
-@pytest.mark.parametrize(
-    "objective, expected",
-    [("min_diff", (2, [(5, 2)])), ("min_max", (4, [(5, 2)])), ("compression", (4, [(5, 2)]))],
-)
-def test_joined_sweep_starts_from_a_partition_of_its_own_family(objective, expected):
-    # position 2 must share position 0's block, so {1, 3} {2} is the only
-    # two-block partition. A seed from outside the family, the greedy
-    # {3} {1, 2}, scores min_diff 0 and would leave no optimum
-    w = [1, 2, 3]
-    t, sums = solver._slot_table(w, objective)
-    assert solver._sweep(t, sums, w, 2, objective, joined=0b100) == expected
+def _lemma2_cases():
+    """Seeded instances for verify_lemma2's constrained sweep: ties from
+    1..6, all-equal weights, log-uniform weights to 2**40, and n = k + 1,
+    where that sweep has exactly k positions."""
+    rng = random.Random("solver:lemma2-first-merge")
+    yield Instance((1, 2, 3)), 2
+    for _ in range(30):
+        n = rng.randint(3, 9)
+        yield Instance(tuple(rng.randint(1, 6) for _ in range(n))), rng.randint(1, min(6, n - 1))
+    for n in range(2, 10):
+        yield Instance((7,) * n), rng.randint(1, min(6, n - 1))
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        yield Instance(tuple(_oracle_weights(rng, n, 2))), rng.randint(1, min(6, n - 1))
+    for k in range(1, MAX_ORACLE_K + 1):
+        for shape in (0, 2, 3):
+            yield Instance(tuple(_oracle_weights(rng, k + 1, shape))), k
+
+
+def test_lemma2_constrained_sweep_matches_the_rgs_oracle():
+    # the constrained minimum comes from a sweep over n - 1 positions whose
+    # last stands for the two smallest weights together; the reference
+    # keeps only the partitions that put those two in one block
+    for inst, k in _lemma2_cases():
+        assert verify_lemma2(inst, k) == _rgs_oracle(inst, k)["lemma2"], (inst, k)
 
 
 def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
@@ -736,7 +779,7 @@ def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
     want = _rgs_oracle(inst, 2)
     for objective in ("min_max", "min_diff", "product_of_sums", "compression"):
         t, sums = solver._slot_table(w, objective)
-        seed = solver._incumbent(t, sums, w, inst.total, 2, objective, 1, 0b1111110)
+        seed = solver._incumbent(t, w, inst.total, 2, objective, 0b1111111)
         res = brute_force(inst, 2, objective)
         assert seed == res.best_value and len(res.optimal_partitions) == 35, objective
         assert res == want[objective], objective
@@ -775,7 +818,7 @@ def _completion_best(objective, w, prefix, r, j):
 def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     # a remainder whose bound is no worse than its own best completion is
     # never skipped, so no skip can lose an optimum
-    w = sorted(ws)
+    w = sorted(ws, reverse=True)
     swept = "min_max" if objective == "max_min" else objective
     if objective == "max_min":
         w = [-x for x in w]
@@ -809,7 +852,7 @@ def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x,
     others = data.draw(st.lists(st.integers(1, x), max_size=5))
     while others and x * (j - 1) <= sum(others):
         others.pop()
-    tagged = sorted([(x, 1)] + [(y, 1) for y in others] + [(y, 0) for y in head])
+    tagged = sorted([(x, 1)] + [(y, 1) for y in others] + [(y, 0) for y in head], reverse=True)
     w = [y for y, _ in tagged]
     r = sum(1 << p for p, (_, in_r) in enumerate(tagged) if in_r)
     rest = [p for p, (_, in_r) in enumerate(tagged) if not in_r]
@@ -846,6 +889,38 @@ def test_largest_weight_bounds_prune_the_balance_sweeps(monkeypatch):
             m.setitem(solver._SWEEPS, objective, (counted, *rest))
             brute_force(Instance(ws), 3, objective)
         assert scans < 100, (objective, scans)
+
+
+def test_largest_first_positions_prune_the_tied_sweeps(monkeypatch):
+    # block 0 holds the largest weight, so a heavy first block is ruled out
+    # before any level below it runs. On the (13, 3) instance above, with
+    # the positions ascending, min_max scanned the last two blocks 2,048
+    # times and compression twice; at (13, 6) the compression sweep reached
+    # the third-to-last level 783,530 times
+    rng = random.Random("solver:largest-weight-bound")
+    inst = Instance(tuple(min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(13)))
+    # level 0 is the innermost level of _SWEEPS, 1 the one above it. The
+    # optimum ties the largest weight under min_max, and is the stopped
+    # Huffman cost under compression
+    for objective, k, level, ceiling, best, optima in (
+        ("min_max", 3, 0, 8, max(inst.weights), 2048),
+        ("compression", 3, 0, 1, stopped_huffman(inst, 3)[1].cost, 1),
+        ("compression", 6, 1, 100, stopped_huffman(inst, 6)[1].cost, 1),
+    ):
+        levels = list(solver._SWEEPS[objective])
+        scan, calls = levels[level], 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return scan(*args)
+
+        levels[level] = counted
+        with monkeypatch.context() as m:
+            m.setitem(solver._SWEEPS, objective, tuple(levels))
+            res = brute_force(inst, k, objective)
+        assert calls <= ceiling, (objective, k, calls)
+        assert (res.best_value, len(res.optimal_partitions)) == (best, optima), objective
 
 
 # --- greedy ---------------------------------------------------------------
