@@ -11,9 +11,9 @@ descending, one O(2**n) pass fills the subset sums and the objective's term
 for every subset (the sum, q * log2(q) of it, or Huffman merge cost), and
 every sweep of a call reads those tables. Each partition into <= k blocks
 is then k block masks, and scoring it takes O(1) lookups instead of
-regrouping n elements. max_min and min_entropy have no sweep of their
-own: both are read off the min_max sweep, max_min as minus its value over
-the negated weights.
+regrouping n elements. min_entropy has no sweep of its own: it is read
+off the min_max sweep. max_min runs min_max's sweep over its terms, each
+block's sum negated, and reports minus its value.
 
 At k >= 4 the same remainder, the positions left for the last two blocks,
 recurs under many choices of the blocks before them: 1,024 remainders
@@ -331,12 +331,12 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
 
     Bit p of a mask stands for sorted position p of the descending weights
     w. Compression's t is the merge cost of the members, entropy's
-    q * log2(q) of the subset sum q (0.0 for the empty block), and every
-    other t is sums itself. Each half of a table fills from the half below
-    its top bit, whose weight is no larger than any below it, so it goes
-    first and the members come out ascending, as _merge_cost_sorted reads
-    them: O(2**n) entries, at every k, k = 1 included, whose one partition
-    is scored from them as any other.
+    q * log2(q) of the subset sum q (0.0 for the empty block), max_min's
+    -q, and every other t is sums itself. Each half of a table fills from
+    the half below its top bit, whose weight is no larger than any below
+    it, so it goes first and the members come out ascending, as
+    _merge_cost_sorted reads them: O(2**n) entries, at every k, k = 1
+    included, whose one partition is scored from them as any other.
     """
     sums = [0]
     if objective == "compression":
@@ -350,6 +350,8 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
     if objective == "entropy":
         log2 = math.log2
         return [q * log2(q) if q else 0.0 for q in sums], sums
+    if objective == "max_min":
+        return [-q for q in sums], sums
     return sums, sums
 
 
@@ -628,12 +630,12 @@ def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
 
 
 # objective -> (innermost level, the level above it, fold of one more
-# block's term into agg, agg before any block). max_min has no entry:
-# brute_force sweeps it as min_max over the negated weights, whose sums are
-# all <= 0, so min_max's agg starts below every sum
+# block's term into agg, agg before any block). max_min minimizes the
+# largest of its terms, the negated sums, as min_max does its sums
 _SWEEPS = {
     "compression": (_last_two_compression, _last_three_compression, int.__add__, 0),
     "min_max": (_last_two_min_max, _last_three_min_max, max, -math.inf),
+    "max_min": (_last_two_min_max, _last_three_min_max, max, -math.inf),
     "min_diff": (
         _last_two_min_diff,
         _last_three_min_diff,
@@ -647,24 +649,24 @@ _SWEEPS = {
 
 def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
     """Whether a level placing a block before the last two may skip
-    remainder r, with j slots left after the prefix folded into agg: a
+    remainder r, with j >= 2 slots left after the prefix folded into agg: a
     proven bound on r's best completion is strictly worse than best.
 
     The bounds read R = s[r], r's subset sum, and x, the subset sum of r's
-    lowest sorted position: its largest weight, or under max_min's negated
-    weights its most negative one. On wide weights x dominates R, and the
-    block holding it limits every completion more than R / j does. At
-    j = 1 the one block is r itself, and the bounds read R alone.
+    lowest sorted position: its largest weight. On wide weights x dominates
+    R, and the block holding it limits every completion more than R / j
+    does.
     """
     R = s[r]
     if objective == "compression":
-        # merging the j blocks' Huffman trees into one for r costs at most
-        # (j - 1) * R, and no tree for r costs less than t[r]
-        return agg + t[r] - (j - 1) * R > best
+        # a balanced tree over the j blocks' Huffman trees puts each root at
+        # depth ceil(log2(j)), so merging them into one tree for r costs at
+        # most that many times R, and no tree for r costs less than t[r]
+        return agg + t[r] - (j - 1).bit_length() * R > best
     # r's lowest bit, or 0 for the empty remainder, whose x is 0
     x = s[r & -r]
     if objective == "product_of_sums":
-        if j > 1 and x * j > R:
+        if x * j > R:
             # the block holding x sums to some y >= x > R / j, the other
             # j - 1 to at most ((R - y) / (j - 1)) ** (j - 1) by AM-GM, and
             # y * (R - y) ** (j - 1) falls as y grows past R / j
@@ -678,36 +680,33 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
         # _last_three_entropy's, whose extra 1e-12 * total of slack covers
         # the rounding on both sides
         cut = _entropy_cut(total, best) + 1e-12 * total
-        if j > 1 and x * j > R:
+        if x * j > R:
             rest = R - x
             least = x * math.log2(x) + (rest * math.log2(rest / (j - 1)) if rest else 0.0)
         else:
             least = R * math.log2(R / j) if R else 0.0
         return sum(agg) + least > cut
-    # some block holds ceil(R / j) or more, and some floor(R / j) or less,
-    # among max_min's negated sums too. The block holding x sums to at
-    # least x; under max_min's negated sums, to at most x, so the other
-    # j - 1 blocks hold R - x or more and one of them a share of it
-    hi = -(-R // j)
     if objective == "min_max":
-        if j > 1:
-            hi = max(hi, x if R > 0 else -((x - R) // (j - 1)))
-        return max(agg, hi) > best
-    # min_diff: the other j - 1 blocks hold R - x or less, and one of them
-    # a share of it
-    lo = R // j if j == 1 else min(R // j, (R - x) // (j - 1))
-    return max(agg[0], hi, x) - min(agg[1], lo) > best
+        # some block holds ceil(R / j) or more, and one at least x
+        return max(agg, -(-R // j), x) > best
+    # the least sum is lo or less: some block holds floor(R / j) or less,
+    # and the j - 1 blocks besides x's share R - x or less
+    lo = min(R // j, (R - x) // (j - 1))
+    if objective == "max_min":
+        return max(agg, -lo) > best
+    return max(agg[0], -(-R // j), x) - min(agg[1], lo) > best
 
 
 def _incumbent(t, w, total, k: int, objective: str, full: int):
     """Score, as the innermost level scores it, of a largest-first greedy
     partition of the positions in the mask full: each, from position 0 up,
-    so the largest weight first, joins the lowest block nearest sum 0."""
+    so the largest weight first, joins the lightest block, the lowest on
+    ties."""
     blocks = [0] * k
     sums = [0] * k
     for p in range(len(w)):
         if full >> p & 1:
-            i = sums.index(min(sums, key=abs))
+            i = sums.index(min(sums))
             blocks[i] |= 1 << p
             sums[i] += w[p]
     _, _, fold, agg = _SWEEPS[objective]
@@ -799,9 +798,9 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     docstring describes. partitions_searched is every partition,
     covered whether scored or ruled out: the Stirling sum over j <= k.
     Exact integer objectives compare exactly; entropy keeps every
-    partition within 1e-9 of the best. Two objectives reduce exactly to
-    min_max, the largest subset sum: min_entropy is a decreasing function
-    of it, and max_min is minus min_max over the negated weights. Each
+    partition within 1e-9 of the best. min_entropy is a decreasing
+    function of min_max, the largest subset sum, and is read off its sweep;
+    max_min is minus min_max's sweep over its terms, the negated sums. Each
     optimum is kept as one integer, its canonical assignment in base 8,
     read off one more O(2**n) table of each mask's digits; sorting the
     integers sorts the assignments. Guarded to n <= 14 and k <= 6.
@@ -814,9 +813,7 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     _guard_oracle(n, k)
     order = sorted(range(n), key=inst.weights.__getitem__, reverse=True)
     w = [inst.weights[e] for e in order]
-    swept = "min_max" if objective in ("max_min", "min_entropy") else objective
-    if objective == "max_min":
-        w = [-x for x in w]
+    swept = "min_max" if objective == "min_entropy" else objective
     best, picks = _sweep(*_slot_table(w, swept), w, k, swept)
     if objective == "max_min":
         best = -best

@@ -1,8 +1,10 @@
 """Instance parsing, partitions, subset sums, and distributions."""
 
+import ast
 import re
 import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -602,6 +604,23 @@ def test_all_names_every_public_binding():
     }
     assert bound == set(kpart.__all__) - {"__version__"}
     assert len(kpart.__all__) == len(set(kpart.__all__))
+
+
+def test_the_library_imports_the_standard_library_only():
+    # the runtime is stdlib-only: a third-party import, numpy say, fails here
+    # even when it is installed
+    sources = sorted(Path(kpart.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_instance_dist(worked_instance):

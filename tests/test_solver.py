@@ -795,15 +795,9 @@ def _completion_best(objective, w, prefix, r, j):
     # an empty remainder has one completion: j empty blocks
     for a in _rgs_up_to_k(len(members), j) if members else [()]:
         labels.update((p, len(prefix) + g) for p, g in zip(members, a))
-        assignment = [labels[p] for p in range(len(w))]
-        if objective == "max_min":
-            # min_max over the negated weights, as brute_force sweeps it
-            sums = [0] * k
-            for x, g in zip(w, assignment):
-                sums[g] += x
-            values.append(max(sums))
-        else:
-            values.append(_rgs_scores(w, assignment, k, sum(w))[objective])
+        score = _rgs_scores(w, [labels[p] for p in range(len(w))], k, sum(w))[objective]
+        # the sweep minimizes max_min's largest term, minus the least sum
+        values.append(-score if objective == "max_min" else score)
     pick = max if objective in ("product_of_sums", "entropy") else min
     return pick(values)
 
@@ -812,16 +806,14 @@ def _completion_best(objective, w, prefix, r, j):
 @given(
     st.sampled_from(("compression", "min_max", "max_min", "min_diff", "product_of_sums", "entropy")),
     st.lists(envelope_weights, min_size=1, max_size=8),
-    st.integers(1, 6),
+    st.integers(2, 6),
     st.data(),
 )
 def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     # a remainder whose bound is no worse than its own best completion is
-    # never skipped, so no skip can lose an optimum
+    # never skipped, so no skip can lose an optimum. A sweep calls _skip
+    # with 2 to 6 slots left (see test_sweeps_call_skip_with_two_slots_or_more)
     w = sorted(ws, reverse=True)
-    swept = "min_max" if objective == "max_min" else objective
-    if objective == "max_min":
-        w = [-x for x in w]
     n = len(w)
     # any remainder short of every position: the prefix holds the rest
     r = data.draw(st.integers(0, (1 << n) - 2))
@@ -829,26 +821,26 @@ def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
     prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
     prefix = [b for b in prefix if b]
-    t, sums = solver._slot_table(w, swept)
-    _, _, fold, agg = solver._SWEEPS[swept]
+    t, sums = solver._slot_table(w, objective)
+    _, _, fold, agg = solver._SWEEPS[objective]
     for b in prefix:
         agg = fold(agg, t[b])
     best = _completion_best(objective, w, prefix, r, j)
-    assert not solver._skip(swept, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
+    assert not solver._skip(objective, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(("compression", "min_max", "max_min", "min_diff", "product_of_sums", "entropy")),
-    st.integers(1, 6),
+    st.integers(2, 6),
     envelope_weights,
     st.lists(envelope_weights, max_size=4),
     st.data(),
 )
 def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x, head, data):
-    # the remainder's largest weight x exceeds its share R / j whenever
-    # j >= 2, so the bounds that read x as well as R decide; the prefix
-    # holds the head weights in up to three blocks
+    # the remainder's largest weight x exceeds its share R / j, so the
+    # bounds that read x as well as R decide; the prefix holds the head
+    # weights in up to three blocks
     others = data.draw(st.lists(st.integers(1, x), max_size=5))
     while others and x * (j - 1) <= sum(others):
         others.pop()
@@ -859,15 +851,35 @@ def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x,
     groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
     prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
     prefix = [b for b in prefix if b]
-    swept = "min_max" if objective == "max_min" else objective
-    if objective == "max_min":
-        w = [-y for y in w]
-    t, sums = solver._slot_table(w, swept)
-    _, _, fold, agg = solver._SWEEPS[swept]
+    t, sums = solver._slot_table(w, objective)
+    _, _, fold, agg = solver._SWEEPS[objective]
     for b in prefix:
         agg = fold(agg, t[b])
     best = _completion_best(objective, w, prefix, r, j)
-    assert not solver._skip(swept, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
+    assert not solver._skip(objective, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
+
+
+def test_sweeps_call_skip_with_two_slots_or_more(monkeypatch):
+    # a level with two slots left scans them, so _skip, which has no case
+    # for a single slot, only ever sees j >= 2, under every swept objective
+    skip = solver._skip
+    slots = {}
+
+    def recorded(objective, t, s, total, agg, r, j, best):
+        slots.setdefault(objective, set()).add(j)
+        return skip(objective, t, s, total, agg, r, j, best)
+
+    monkeypatch.setattr(solver, "_skip", recorded)
+    corpora = chain(_oracle_cases(120), _summary_level_cases(), _tie_heavy_oracle_cases(80))
+    for inst, k in corpora:
+        for objective in OBJECTIVES:
+            brute_force(inst, k, objective)
+        if len(inst.weights) > k:
+            verify_lemma2(inst, k)
+        # capped: its side sweeps come first, and the cap bounds the rest
+        verify_principle_of_optimality(inst, k, trials=1000)
+    assert set(slots) == set(solver._SWEEPS)
+    assert all(min(js) >= 2 for js in slots.values()), slots
 
 
 def test_largest_weight_bounds_prune_the_balance_sweeps(monkeypatch):
