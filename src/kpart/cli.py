@@ -32,6 +32,7 @@ from .entropy import conditional_entropy, shannon_entropy
 from .huffman import build_huffman, expected_length_bits
 from .objectives import compression_cost, evaluate
 from .solver import (
+    MAX_ORACLE_N,
     OBJECTIVES,
     brute_force,
     greedy_baseline,
@@ -329,6 +330,9 @@ def _cmd_verify(args) -> int:
         raise InputError("-k applies only with --list or --file")
     if max_n is not None and max_n < 3:
         raise InputError("--max-n must be at least 3")
+    if max_n is not None and max_n > MAX_ORACLE_N:
+        # checked before any suite runs: the oracle suites draw n up to max_n
+        raise SizeLimitError(f"--max-n {max_n} exceeds the oracle's limit of {MAX_ORACLE_N}")
     if single:
         inst = _load_instance(args)
         k = 2 if args.k is None else args.k

@@ -13,7 +13,9 @@ every sweep of a call reads those tables. Each partition into <= k blocks
 is then k block masks, and scoring it takes O(1) lookups instead of
 regrouping n elements. min_entropy has no sweep of its own: it is read
 off the min_max sweep. max_min runs min_max's sweep over its terms, each
-block's sum negated, and reports minus its value.
+block's sum negated, and reports minus its value. Entropy is swept for
+the least float sum of its terms, within a fixed slack, and its 1e-9 band
+is settled once, at the end, on each kept partition's correctly rounded H.
 
 At k >= 4 the same remainder, the positions left for the last two blocks,
 recurs under many choices of the blocks before them: 1,024 remainders
@@ -355,17 +357,19 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
     return sums, sums
 
 
-def _entropy_cut(total: int, best: float) -> float:
-    """The most a partition's terms may add up to while its entropy stays
-    within _ENTROPY_TOL of best, with 1e-12 bits of slack on that entropy."""
-    return (math.log2(total) - (best - _ENTROPY_TOL) + 1e-12) * total
+def _entropy_slack(total: int) -> float:
+    """How far past the least sum of terms the entropy sweep keeps a
+    partition: the band's _ENTROPY_TOL bits times total, with 2e-12 bits
+    more, far above the rounding of the plain float sums it compares."""
+    return (_ENTROPY_TOL + 2e-12) * total
 
 
 # Innermost levels of the sweep, one per swept objective. Each walks the
 # submasks s of r2, the remainder past its lowest element low, and scores
 # the partition whose last two blocks are low | s and r2 ^ s; pre holds the
 # blocks before them and agg their terms, folded as _SWEEPS says. Ties
-# with the best go to picks, which is cleared when the best improves.
+# with the best go to picks, which is cleared when the best improves;
+# entropy's level keeps the slack of _entropy_slack instead, and clears none.
 
 
 def _last_two_compression(t, total, low, r2, pre, agg, best, picks):
@@ -447,27 +451,21 @@ def _last_two_product(t, total, low, r2, pre, agg, best, picks):
 
 
 def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
-    # picks holds (h, blocks) while h lies in the band below the running
-    # best; a rise of the best prunes it to the new band. h comes from the
-    # correctly rounded fsum only where the plain sum of the nonnegative
-    # terms, within a few ulps of it, is under cut: the 1e-12 slack on h is
-    # far above that error, so no partition the band would keep is skipped
-    floor = best - _ENTROPY_TOL
-    cut = _entropy_cut(total, best)
-    base = sum(agg)
+    # best is the least plain sum of terms so far, and a split within the
+    # slack of it is kept; picks a later, lower best leaves outside the
+    # band are dropped by _sweep's settle, not here
+    slack = _entropy_slack(total)
+    cut = best + slack
     s = r2
     while True:
         a = low | s
         b = r2 ^ s
-        if base + t[a] + t[b] <= cut:
-            h = _terms_bits((*agg, t[a], t[b]), total)
-            if h >= floor:
-                if h > best:
-                    best = h
-                    floor = h - _ENTROPY_TOL
-                    cut = _entropy_cut(total, h)
-                    picks[:] = [e for e in picks if e[0] >= floor]
-                picks.append((h, pre + (a, b)))
+        v = agg + t[a] + t[b]
+        if v <= cut:
+            if v < best:
+                best = v
+                cut = v + slack
+            picks.append(pre + (a, b))
         if not s:
             return best
         s = (s - 1) & r2
@@ -605,12 +603,10 @@ def _last_three_min_diff(t, total, low, r2, pre, agg, best, picks, summ):
 
 
 def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
-    # the scan below skips each split whose plain sum of terms is over its
-    # cut. m, the least t[a] + t[b] over r's splits, bounds those sums from
-    # below up to rounding, which one more 1e-12 * total of slack covers; a
-    # choice past that gets no scan, since the scan would keep nothing
-    cut = _entropy_cut(total, best) + 1e-12 * total
-    base = sum(agg)
+    # m, the least t[a] + t[b] over r's splits, bounds the sums the scan
+    # below compares, up to rounding far inside the slack; a choice past
+    # the cut gets no scan, since the scan would keep nothing
+    slack = _entropy_slack(total)
     s = r2
     while True:
         b = low | s
@@ -618,12 +614,10 @@ def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
         m = summ[r]
         if m is None:
             m = summ[r] = _summary(_last_two_compression, t, total, r, 0, math.inf)[0]
-        if base + t[b] + m <= cut:
+        a = agg + t[b]
+        if a + m <= best + slack:
             low_r = r & -r
-            best = _last_two_entropy(
-                t, total, low_r, r ^ low_r, pre + (b,), (*agg, t[b]), best, picks
-            )
-            cut = _entropy_cut(total, best) + 1e-12 * total
+            best = _last_two_entropy(t, total, low_r, r ^ low_r, pre + (b,), a, best, picks)
         if not s:
             return best
         s = (s - 1) & r2
@@ -631,7 +625,8 @@ def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
 
 # objective -> (innermost level, the level above it, fold of one more
 # block's term into agg, agg before any block). max_min minimizes the
-# largest of its terms, the negated sums, as min_max does its sums
+# largest of its terms, the negated sums, as min_max does its sums;
+# entropy the float sum of its terms, as compression does its integer one
 _SWEEPS = {
     "compression": (_last_two_compression, _last_three_compression, int.__add__, 0),
     "min_max": (_last_two_min_max, _last_three_min_max, max, -math.inf),
@@ -643,7 +638,7 @@ _SWEEPS = {
         (0, math.inf),
     ),
     "product_of_sums": (_last_two_product, _last_three_product, int.__mul__, 1),
-    "entropy": (_last_two_entropy, _last_three_entropy, lambda agg, f: (*agg, f), ()),
+    "entropy": (_last_two_entropy, _last_three_entropy, float.__add__, 0.0),
 }
 
 
@@ -676,16 +671,14 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
     if objective == "entropy":
         # q * log2(q) is convex, so the j terms add up to R * log2(R / j) or
         # more; with x > R / j, to x * log2(x) plus the other j - 1 blocks'
-        # least, which grows with the block holding x. The cut is
-        # _last_three_entropy's, whose extra 1e-12 * total of slack covers
-        # the rounding on both sides
-        cut = _entropy_cut(total, best) + 1e-12 * total
+        # least, which grows with the block holding x. The slack is the
+        # innermost level's, and covers the rounding on both sides
         if x * j > R:
             rest = R - x
             least = x * math.log2(x) + (rest * math.log2(rest / (j - 1)) if rest else 0.0)
         else:
             least = R * math.log2(R / j) if R else 0.0
-        return sum(agg) + least > cut
+        return agg + least > best + _entropy_slack(total)
     if objective == "min_max":
         # some block holds ceil(R / j) or more, and one at least x
         return max(agg, -(-R // j), x) > best
@@ -697,7 +690,7 @@ def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
     return max(agg[0], -(-R // j), x) - min(agg[1], lo) > best
 
 
-def _incumbent(t, w, total, k: int, objective: str, full: int):
+def _incumbent(t, w, k: int, objective: str, full: int):
     """Score, as the innermost level scores it, of a largest-first greedy
     partition of the positions in the mask full: each, from position 0 up,
     so the largest weight first, joins the lightest block, the lowest on
@@ -712,8 +705,6 @@ def _incumbent(t, w, total, k: int, objective: str, full: int):
     _, _, fold, agg = _SWEEPS[objective]
     for b in blocks:
         agg = fold(agg, t[b])
-    if objective == "entropy":
-        return _terms_bits(agg, total)
     return agg[0] - agg[1] if objective == "min_diff" else agg
 
 
@@ -748,17 +739,14 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
     the subset sums. At k >= 4 the third-to-last block is placed by the
     summary level of the module docstring. Returns (best, picks), with
     picks the block-mask tuples of every optimum in sweep order; the sweep
-    counts no partitions. For entropy, the kept candidates are pruned to
-    the band below the best each time it rises, so the last prune settles
-    them against the final best.
+    counts no partitions. Entropy's levels keep every partition within
+    _entropy_slack of the least sum of terms so far; its band is settled
+    here, once, on each kept partition's H from the fsum of its terms.
     """
     last_two, last_three, fold, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
     total = sums[full]
-    best = _incumbent(t, w, total, k, objective, full)
-    if k == 1:
-        # the greedy put every position in block 0: the only partition
-        return best, [(full,)]
+    best = _incumbent(t, w, k, objective, full)
     picks: list = []
     summ = [None] * (full + 1) if k > 3 else None
 
@@ -783,9 +771,15 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
                 return
             s = (s - 1) & r2
 
-    place(full, k, (), agg0)
+    if k == 1:
+        # the greedy put every position in block 0: the only partition
+        picks.append((full,))
+    else:
+        place(full, k, (), agg0)
     if objective == "entropy":
-        picks = [blocks for _, blocks in picks]
+        hs = [_terms_bits(map(t.__getitem__, blocks), total) for blocks in picks]
+        best = max(hs)
+        picks = [blocks for h, blocks in zip(hs, picks) if h >= best - _ENTROPY_TOL]
     return best, picks
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import kpart
 from kpart import (
+    MAX_ORACLE_N,
     MAX_WEIGHT,
     Instance,
     Lemma2Report,
@@ -806,6 +807,23 @@ def test_verify_rejects_corrupt_instance_file(tmp_path, capsys):
 def test_verify_rejects_tiny_max_n(capsys):
     code, _, _ = run(capsys, "verify", "--max-n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_rejects_max_n_past_the_oracle_limit_before_any_suite(monkeypatch, capsys, seed):
+    # it once passed or exited 3 depending on whether a seed drew n = 15,
+    # and only after suites had already run
+    def fail(*args):
+        raise AssertionError("verify ran a suite before checking --max-n")
+
+    monkeypatch.setattr("kpart.cli._small_cases", fail)
+    monkeypatch.setattr("kpart.cli._sandwich_cases", fail)
+    code, out, err = run(
+        capsys, "verify", "--trials", "1", "--max-n", "15", "--seed", str(seed)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: --max-n 15 exceeds the oracle's limit of {MAX_ORACLE_N}\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
