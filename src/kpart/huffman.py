@@ -9,8 +9,9 @@ against equal-valued leaves.
 _merge is the one engine for that loop. build_huffman runs it to a single
 root; solver.stopped_huffman runs it until k values remain. The cost-only
 fold _merge_cost_sorted stays separate: the exhaustive oracle's table fill
-calls it once per subset of up to 14 weights, 16,384 groups at the
-envelope, where the engine's sentinel padding and child columns cost
+calls it for each subset of up to 14 weights whose cost it cannot read
+off a smaller subset's, up to 16,384 groups, where the engine's sentinel
+padding and child columns cost
 1.0-2.5x the fold's time per call (most for the smallest groups), while a
 heapq fold is 2.2-4.7x slower than it at 4k to 64k weights (2 CPUs,
 Python 3.11).

@@ -24,11 +24,17 @@ third-to-last block sweeps each remainder's last two blocks once on their
 own into a summary, kept in a list indexed by the remainder's mask. For
 compression and product_of_sums the summary settles every choice. For
 min_max it settles a choice whose earlier blocks score no more than the
-summary's best, and a choice whose earlier blocks outweigh the remainder
-is scanned without one. For min_diff and entropy it only bounds a
-choice, and the choices that pass the bound are scanned. At k <= 3 each
-remainder occurs once, so a summary would only add a sweep, and those
-sweeps scan directly.
+summary's best. For min_diff and entropy it only bounds a choice, and the
+choices that pass the bound are scanned. At k <= 3 each remainder occurs
+once, so a summary would only add a sweep, and those sweeps scan directly.
+
+Under min_max, a choice whose blocks so far score a, no less than the
+remainder's whole sum, scores a under every completion, since no block of
+the remainder can outweigh it. On log-uniform weights nearly every
+optimum lies under such a choice, and one choice may stand for hundreds
+of thousands. The sweep, at any level, records it as one settled group
+instead of placing the remainder, and brute_force lists its optima
+straight as keys.
 
 The sweep is a branch and bound: it starts from a greedy partition's
 score and skips each remainder whose bound is strictly worse than the
@@ -49,6 +55,7 @@ import heapq
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
@@ -83,6 +90,13 @@ _ENTROPY_TOL = 1e-9
 # near 5k-10k runs at n = 2**16; either route is within about 10% of the
 # other in between.
 _MAX_LABEL_RUNS = 16384
+
+# _settled_keys merges a class's runs of keys into one list up to this many
+# keys, and leaves larger ones as runs of smaller lists, so that no group is
+# ever copied whole: brute_force's process peaks near 100 MB on a min_max
+# call at (14, 6) with one group of 10,306,752 keys. Limits from 512 to
+# 65,536 ran equally fast (2 CPUs, Python 3.11).
+_RUN_KEYS = 4096
 
 
 # --- result types -----------------------------------------------------
@@ -339,6 +353,16 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
     it, so it goes first and the members come out ascending, as
     _merge_cost_sorted reads them: O(2**n) entries, at every k, k = 1
     included, whose one partition is scored from them as any other.
+
+    Most merge costs are read off a smaller subset's. Mask m's largest
+    weight y sits at its lowest bit, g is m without it, and x is g's
+    largest weight. A Huffman merge of g takes in no value above
+    sums[g] - x but x itself: merged values never fall, so the smaller
+    operand of its last merge is at least x. So with y >= sums[g] - x, no
+    value g's merge takes in exceeds y, and a merge of m may run g's
+    merges first, since a tie between equal values leaves the cost
+    unchanged, and take y last: t[m] = t[g] + sums[m]. Otherwise m's
+    members are folded.
     """
     sums = [0]
     if objective == "compression":
@@ -346,7 +370,18 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
         for x in w:
             members += [[x] + g for g in members]
             sums += [q + x for q in sums]
-        return list(map(_merge_cost_sorted, members)), sums
+        t = [0] * len(sums)
+        for m in range(3, len(sums)):
+            low = m & -m
+            g = m ^ low
+            if not g:
+                continue
+            # g & (g - 1) is g without its largest weight
+            if sums[low] >= sums[g & (g - 1)]:
+                t[m] = t[g] + sums[m]
+            else:
+                t[m] = _merge_cost_sorted(members[m])
+        return t, sums
     for x in w:
         sums += [q + x for q in sums]
     if objective == "entropy":
@@ -532,16 +567,23 @@ def _last_three_product(t, total, low, r2, pre, agg, best, picks, summ):
         s = (s - 1) & r2
 
 
-# a summary that settles no choice, so the choice is scanned
-_SCAN = (-math.inf, ())
+class _Settled(namedtuple("_Settled", "head rest slots")):
+    """A min_max choice whose every completion scores its value: the head
+    blocks placed, and the remainder rest, which the sweep need not split.
+    In picks it stands for every partition of rest into at most slots
+    blocks after head."""
+
+    __slots__ = ()
 
 
 def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
     # with a = max(agg, t[b]) <= m every split scores max(a, its own max),
     # so the summary's splits are the best ones; above m, a split ties at a
-    # whenever its own max is at most a, and only a scan finds them. Over
-    # sums >= 0 no split's own max exceeds t[r], so with a >= t[r] the
-    # choice is scanned without a summary
+    # whenever its own max is at most a. Over sums >= 0 no split's own max
+    # exceeds t[r], so with a >= t[r] every split ties and the choice is
+    # one settled group, which needs no summary (a summary cached before
+    # settles it only when a = m = t[r], so r has one weight and one split);
+    # otherwise a scan finds the ties
     s = r2
     while True:
         b = low | s
@@ -550,13 +592,10 @@ def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
         if agg > a:
             a = agg
         e = summ[r]
-        if e is None:
-            if 0 <= t[r] <= a:
-                e = _SCAN
-            else:
-                e = summ[r] = _summary(_last_two_min_max, t, total, r, -math.inf, math.inf)
-        m = e[0]
-        if a <= m:
+        if e is None and not 0 <= t[r] <= a:
+            e = summ[r] = _summary(_last_two_min_max, t, total, r, -math.inf, math.inf)
+        if e is not None and a <= e[0]:
+            m = e[0]
             if m <= best:
                 if m < best:
                     best = m
@@ -564,10 +603,16 @@ def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
                 head = pre + (b,)
                 picks += [head + split for split in e[1]]
         elif a <= best:
-            low_r = r & -r
-            best = _last_two_min_max(
-                t, total, low_r, r ^ low_r, pre + (b,), a, best, picks
-            )
+            if 0 <= t[r] <= a:
+                if a < best:
+                    best = a
+                    picks.clear()
+                picks.append(_Settled(pre + (b,), r, 2))
+            else:
+                low_r = r & -r
+                best = _last_two_min_max(
+                    t, total, low_r, r ^ low_r, pre + (b,), a, best, picks
+                )
         if not s:
             return best
         s = (s - 1) & r2
@@ -738,7 +783,8 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
     block before the last two skips a remainder that _skip rules out on
     the subset sums. At k >= 4 the third-to-last block is placed by the
     summary level of the module docstring. Returns (best, picks), with
-    picks the block-mask tuples of every optimum in sweep order; the sweep
+    picks the block-mask tuples of every optimum in sweep order, and under
+    min_max the _Settled groups that stand for many at once; the sweep
     counts no partitions. Entropy's levels keep every partition within
     _entropy_slack of the least sum of terms so far; its band is settled
     here, once, on each kept partition's H from the fsum of its terms.
@@ -749,6 +795,9 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
     best = _incumbent(t, w, k, objective, full)
     picks: list = []
     summ = [None] * (full + 1) if k > 3 else None
+    # over max_min's negated sums only an empty remainder could settle, and
+    # the levels below place its one completion all the same
+    settles = objective == "min_max"
 
     def place(rem, slots, pre, agg):
         nonlocal best
@@ -765,7 +814,14 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
             b = low | s
             r = r2 ^ s
             a = fold(agg, t[b])
-            if not _skip(objective, t, sums, total, a, r, slots - 1, best):
+            if settles and 0 <= t[r] <= a:
+                # no block of r outweighs a, so every completion scores a
+                if a <= best:
+                    if a < best:
+                        best = a
+                        picks.clear()
+                    picks.append(_Settled(pre + (b,), r, slots - 1))
+            elif not _skip(objective, t, sums, total, a, r, slots - 1, best):
                 place(r, slots - 1, pre + (b,), a)
             if not s:
                 return
@@ -783,6 +839,98 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
     return best, picks
 
 
+def _settled_keys(group: _Settled, digits):
+    """Runs (offset, keys) of the base-8 keys of every partition a settled
+    group stands for, in canonical labels: the offset plus each of keys,
+    ascending within and across runs.
+
+    digits[b] has an octal 1 at the original index of each member of mask
+    b, so the block that starts first has the larger digits. The head
+    blocks and the free indices, those of the rest, are events walked in
+    input order, as restricted growth strings are listed (Knuth, TAOCP 4A,
+    7.2.1.5). A class of partial partitions is the labels used and which
+    of them label free blocks. A free index joins an open free block, or
+    opens one while fewer than slots are; a head block takes the next
+    label, at every index of it at once. The classes that reach each event
+    are found first; then, from the last event back, each class gets its
+    completions' keys, a run of the next class's per move, in label order.
+    Runs of at most _RUN_KEYS keys in all are merged into one list, and
+    larger ones are not copied.
+    """
+    head, rest, slots = group
+    heads = [digits[b] for b in head if b]
+    frees = []
+    r = rest
+    while r:
+        low = r & -r
+        r ^= low
+        frees.append(digits[low])
+    if slots == 2 and frees:
+        return _two_slot_keys(heads, frees, digits[rest])
+
+    def moves(used, free, is_head):
+        """(label, next class) of each way one event can go."""
+        if is_head:
+            return [(used, (used + 1, free))]
+        out = [(label, (used, free)) for label in free]
+        if len(free) < slots:
+            out.append((used, (used + 1, free + (used,))))
+        return out
+
+    events = sorted([(d, True) for d in heads] + [(d, False) for d in frees], reverse=True)
+    reach = [{(0, ())}]
+    for _, is_head in events:
+        reach.append({nxt for cls in reach[-1] for _, nxt in moves(*cls, is_head)})
+    tails = dict.fromkeys(reach.pop(), [(0, [0])])
+    for (d, is_head), classes in zip(reversed(events), reversed(reach)):
+        out = {}
+        for cls in classes:
+            runs = [
+                (off + label * d, keys)
+                for label, nxt in moves(*cls, is_head)
+                for off, keys in tails[nxt]
+            ]
+            if len(runs) > 1 and sum(len(keys) for _, keys in runs) <= _RUN_KEYS:
+                runs = [(0, [x + off for off, keys in runs for x in keys])]
+            out[cls] = runs
+        tails = out
+    return tails[0, ()]
+
+
+def _two_slot_keys(heads, frees, whole):
+    """_settled_keys for a rest of at most two blocks, in closed form, from
+    the digits of the head blocks, of each free index and of the whole rest.
+
+    Block A holds the rest's first index. Block B, if any, starts at a
+    later free index i: A holds every free index before i, and each one
+    after it goes to either block. So the keys of one start are an offset
+    plus a multiple of the subset sums of the digits after i, which are
+    built once, from the last index up. A later start has the smaller keys.
+    """
+    heads.sort(reverse=True)
+    frees.sort()
+    first = frees.pop()
+    # with A alone, a head's label is its rank among the heads, one more
+    # if it starts after A
+    ahead = sum(d > first for d in heads)
+    base = ahead * whole + sum((label + (d < first)) * d for label, d in enumerate(heads))
+    runs = [(base, [0])]
+    heads.reverse()
+    after = 0  # heads that start after B, each one label up
+    shift = 0
+    subsets = [0]
+    for d in frees:
+        while after < len(heads) and heads[after] < d:
+            shift += heads[after]
+            after += 1
+        # B's label less A's: one for A, and one for each head between them
+        step = len(heads) - after - ahead + 1
+        keys = subsets if step == 1 else [step * x for x in subsets]
+        runs.append((base + shift + step * d, keys))
+        subsets = subsets + [x + d for x in subsets]
+    return runs
+
+
 def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     """Exhaustively optimize one objective over all partitions into <= k blocks.
 
@@ -797,7 +945,9 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     max_min is minus min_max's sweep over its terms, the negated sums. Each
     optimum is kept as one integer, its canonical assignment in base 8,
     read off one more O(2**n) table of each mask's digits; sorting the
-    integers sorts the assignments. Guarded to n <= 14 and k <= 6.
+    integers sorts the assignments. The optima of a settled group are
+    listed as integers from the same table by _settled_keys, with no block
+    masks. Guarded to n <= 14 and k <= 6.
     """
     if objective not in OBJECTIVES:
         raise InputError(
@@ -822,10 +972,16 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
         d = 1 << 3 * (n - 1 - e)
         digits += [x + d for x in digits]
     labels = range(k - 1, -1, -1)
-    keys = sorted(
-        sum(map(mul, labels, sorted(map(digits.__getitem__, blocks)))) for blocks in picks
-    )
-    optima = _Optima(array("Q", keys), n, k)
+    keys = array("Q")
+    for pick in picks:
+        if type(pick) is _Settled:
+            for off, run in _settled_keys(pick, digits):
+                keys.extend(map(off.__add__, run) if off else run)
+        else:
+            keys.append(sum(map(mul, labels, sorted(map(digits.__getitem__, pick)))))
+    if len(picks) > 1:
+        keys = array("Q", sorted(keys))
+    optima = _Optima(keys, n, k)
     return OracleResult(objective, best, optima, _partitions_up_to(n, k))
 
 

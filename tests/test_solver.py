@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import operator
 import random
 import tracemalloc
 from collections import deque
@@ -38,6 +39,7 @@ from kpart import (
     verify_principle_of_optimality,
 )
 from kpart import solver
+from kpart.huffman import _merge_cost_sorted
 
 small_instances = st.lists(st.integers(1, 50), min_size=1, max_size=12).map(
     lambda ws: Instance(tuple(ws))
@@ -584,8 +586,79 @@ def _band_edge_cases():
         yield Instance(ws), k
 
 
+def _settled_cases():
+    """Instances whose min_max optima come from settled groups: one
+    dominant weight at k = 2..6; two or three heavy weights at k = 4..6,
+    whose groups settle two and three blocks deep; one weight at k = 3 and
+    6, whose one block leaves an empty remainder; and all-equal weights.
+    The heavy weights sit among light ones in input order, so that a head
+    block holding light weights has a free index between its first two."""
+    for k in range(2, 7):
+        yield Instance((3, 1, 40, 2, 5, 4, 1)), k
+    for k in (4, 5):
+        yield Instance((1, 2, 30, 3, 31, 1, 2, 4)), k
+    for k in (5, 6):
+        yield Instance((2, 1, 50, 3, 48, 1, 47, 2)), k
+    for k in (3, 6):
+        yield Instance((9,)), k
+    for n, k in ((6, 4), (7, 3), (8, 5), (7, 6)):
+        yield Instance((7,) * n), k
+
+
+def test_settled_corpus_reaches_every_kind_of_group():
+    # what test_sweep_matches_the_rgs_oracle relies on _settled_cases for
+    kinds = set()
+    for inst, k in _settled_cases():
+        w = sorted(inst.weights, reverse=True)
+        _, picks = solver._sweep(*solver._slot_table(w, "min_max"), w, k, "min_max")
+        for group in picks:
+            if isinstance(group, solver._Settled):
+                kinds.add((len(group.head), group.slots))
+                if not group.rest:
+                    kinds.add("empty rest")
+    assert {(1, 2), (1, 5), (2, 2), (2, 3), (3, 2), (3, 3), "empty rest"} <= kinds, kinds
+
+
+def _group_keys(order, group):
+    """Sorted base-8 keys of the partitions a settled group stands for, one
+    partition at a time: order[p] is the input index at sorted position p."""
+    head, rest, slots = group
+    n = len(order)
+    members = [p for p in range(n) if rest >> p & 1]
+    keys = []
+    for a in _rgs_up_to_k(len(members), slots) if members else [()]:
+        free = [sum(1 << p for p, g in zip(members, a) if g == i) for i in range(slots)]
+        blocks = list(head) + free
+        owner = {order[p]: i for i, b in enumerate(blocks) for p in range(n) if b >> p & 1}
+        labels: dict = {}
+        key = 0
+        for e in range(n):
+            key = key * 8 + labels.setdefault(owner[e], len(labels))
+        keys.append(key)
+    return sorted(keys)
+
+
+def test_settled_keys_list_every_partition_of_a_large_group_in_order():
+    # three groups of 11,051 to 29,525 keys, past _RUN_KEYS, so that their
+    # classes near the first index stay runs, and one of two slots. A lone
+    # group's keys are stored as they come, unsorted, so they must ascend
+    order = list(range(12))
+    random.Random("solver:settled-keys").shuffle(order)
+    digits = [0]
+    for e in order:
+        digits += [x + (1 << 3 * (11 - e)) for x in digits]
+    groups = ((0b1,), 3), ((0b1, 0b10010), 4), ((0b101, 0b1000000), 5), ((0b1, 0b10, 0b1100), 2)
+    for head, slots in groups:
+        rest = (1 << 12) - 1 - sum(head)
+        group = solver._Settled(head, rest, slots)
+        keys = [off + x for off, run in solver._settled_keys(group, digits) for x in run]
+        assert keys == _group_keys(order, group), (head, slots)
+        assert all(map(operator.lt, keys, keys[1:])), (head, slots)
+
+
 def test_sweep_matches_the_rgs_oracle():
-    for inst, k in chain(_oracle_cases(120), _tie_heavy_oracle_cases(80), _band_edge_cases()):
+    corpora = _oracle_cases(120), _tie_heavy_oracle_cases(80), _band_edge_cases()
+    for inst, k in chain(*corpora, _settled_cases()):
         want = _rgs_oracle(inst, k)
         for objective in OBJECTIVES:
             assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
@@ -637,8 +710,9 @@ def _summary_level_run(monkeypatch, inst, k, objective):
 
     Returns the number of choices of the third-to-last block, the prefixes
     (blocks up to that one) handed to a scan of the innermost level, and the
-    optima's block masks. A summary sweeps its remainder with no prefix, so
-    it is not counted as a scan.
+    picks: the optima's block masks, and for min_max its settled groups. A
+    summary sweeps its remainder with no prefix, so it is not counted as a
+    scan.
     """
     last_two, last_three, *rest = solver._SWEEPS[objective]
     choices = 0
@@ -663,14 +737,21 @@ def _summary_level_run(monkeypatch, inst, k, objective):
 
 
 def test_summary_level_takes_each_branch(monkeypatch):
-    # min_max on six equal weights: with four left for the last two blocks,
-    # m = 2, a prefix of two singletons scores a = 1 <= m, and the summary
-    # settles the choice; with two left, a prefix of two pairs scores a = 2,
-    # no less than their sum, and a scan finds the ties at 2
-    choices, scanned, picks = _summary_level_run(monkeypatch, Instance((1,) * 6), 4, "min_max")
-    prefixes = {blocks[:2] for blocks in picks}
+    # min_max takes all three paths on 12, 7, 7, 7, 7, 1 at k = 4, whose
+    # optima score 14. Blocks {12, 1} and {7, 7} score a = 14, no less than
+    # the 14 left, so the choice is one settled group. {12} and {7} score
+    # a = 12, under the summary's best split of the rest, m = 14, so the
+    # summary's splits settle it. {12} and {7, 7} score a = 14, above the
+    # m = 8 of 7, 7, 1 and under its sum, so a scan finds the splits whose
+    # own max is at most 14
+    inst = Instance((1, 7, 12, 7, 7, 7))
+    choices, scanned, picks = _summary_level_run(monkeypatch, inst, 4, "min_max")
+    groups = [p for p in picks if isinstance(p, solver._Settled)]
+    prefixes = {blocks[:2] for blocks in picks if not isinstance(blocks, solver._Settled)}
+    assert groups and all((len(g.head), g.slots) == (2, 2) for g in groups)
     assert 0 < len(scanned) < choices
     assert prefixes & set(scanned) and prefixes - set(scanned)
+    assert brute_force(inst, 4, "min_max") == _rgs_oracle(inst, 4)["min_max"]
     # min_diff: some optima tie at hi - lo with their last two sums inside
     # [lo, hi] but wider apart than the summary's splits, so a sweep that
     # settled every choice from the summary kept 68 of these 75; every
@@ -743,6 +824,25 @@ def test_each_oracle_call_fills_its_tables_once(monkeypatch):
         fills = 0
         call()
         assert fills == 1, name
+
+
+def test_merge_cost_table_matches_the_fold():
+    # most entries are read off the subset without its largest weight; each
+    # must equal the fold of its own sorted members. In 1, 2, 3, 3, 6 the
+    # second 3 ties with the sum 1 + 2 that bounds {1, 2, 3}'s merge
+    rng = random.Random("solver:merge-cost-table")
+    cases = [(1, 2, 3, 3, 6)]
+    for n in range(1, 11):
+        cases.append([min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(n)])
+        cases.append([rng.randrange(1, MAX_WEIGHT) for _ in range(n)])
+        cases.append([rng.randint(1, 6) for _ in range(n)])
+        cases.append([rng.randint(1, MAX_WEIGHT)] * n)
+    for ws in cases:
+        w = sorted(ws, reverse=True)
+        t, _ = solver._slot_table(w, "compression")
+        for m in range(1 << len(w)):
+            members = sorted(x for p, x in enumerate(w) if m >> p & 1)
+            assert t[m] == _merge_cost_sorted(members), (w, m)
 
 
 def test_entropy_sweep_memory_stays_flat():
