@@ -20,13 +20,16 @@ is settled once, at the end, on each kept partition's correctly rounded H.
 At k >= 4 the same remainder, the positions left for the last two blocks,
 recurs under many choices of the blocks before them: 1,024 remainders
 under 88,574 choices at n = 12, k = 4. So the level that places the
-third-to-last block sweeps each remainder's last two blocks once on their
-own into a summary, kept in a list indexed by the remainder's mask. For
-compression and product_of_sums the summary settles every choice. For
-min_max it settles a choice whose earlier blocks score no more than the
-summary's best. For min_diff and entropy it only bounds a choice, and the
-choices that pass the bound are scanned. At k <= 3 each remainder occurs
-once, so a summary would only add a sweep, and those sweeps scan directly.
+third-to-last block sums up each remainder's last two blocks once, on
+their own, kept in a list indexed by the remainder's mask. A remainder
+whose largest weight is at least the rest's sum, as about 95% are on
+log-uniform weights, has one best split, that weight alone, found with no
+scan. For compression and product_of_sums the summary settles every
+choice. For min_max it settles a choice whose earlier blocks score no more
+than the summary's best. For min_diff and entropy it only bounds a choice,
+and the choices that pass the bound are scanned. At k <= 3 each remainder
+occurs once, so a summary would only add a sweep, and those sweeps scan
+directly.
 
 Under min_max, a choice whose blocks so far score a, no less than the
 remainder's whole sum, scores a under every completion, since no block of
@@ -37,16 +40,17 @@ instead of placing the remainder, and brute_force lists its optima
 straight as keys.
 
 The sweep is a branch and bound: it starts from a greedy partition's
-score and skips each remainder whose bound is strictly worse than the
-best so far. The bound reads two entries of the subset sums: the
-remainder's sum, and its largest weight, at its lowest position, which on
-wide weights limits every completion by itself (the block holding it is
-at least that heavy; the others share what is left). Block j holds the
-lowest position no earlier block holds, so block 0 holds the largest
-weight, and, as in Korf's number-partitioning searches, a heavy first
-block is ruled out before any level below it runs. brute_force keeps
-each optimum as one integer, its canonical assignment in base 8 (a
-restricted growth string), and builds its Partition only when it is read.
+score, and each objective's placing level skips a choice whose blocks so
+far score strictly worse than the best so far, or whose remainder's bound
+does. The bound reads two entries of the subset sums: the remainder's sum,
+and its largest weight, at its lowest position, which on wide weights
+limits every completion by itself (the block holding it is at least that
+heavy; the others share what is left). Block j holds the lowest position
+no earlier block holds, so block 0 holds the largest weight, and, as in
+Korf's number-partitioning searches, a heavy first block is ruled out
+before any level below it runs. brute_force keeps each optimum as one
+integer, its canonical assignment in base 8 (a restricted growth string),
+and builds its Partition only when it is read.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import compress, count, islice, repeat
-from operator import mul, ne
+from operator import add, mul, ne
 
 from .core import Instance, InputError, Partition, SizeLimitError
 from .core import _check_covers, _check_int, _check_k, _first_occurrence, _int_text, _int_tuple
@@ -402,12 +406,13 @@ def _entropy_slack(total: int) -> float:
 # Innermost levels of the sweep, one per swept objective. Each walks the
 # submasks s of r2, the remainder past its lowest element low, and scores
 # the partition whose last two blocks are low | s and r2 ^ s; pre holds the
-# blocks before them and agg their terms, folded as _SWEEPS says. Ties
-# with the best go to picks, which is cleared when the best improves;
-# entropy's level keeps the slack of _entropy_slack instead, and clears none.
+# blocks before them and agg their terms, folded as the placing levels fold
+# them. Ties with the best go to picks, which is cleared when the best
+# improves; entropy's level keeps everything within slack, the
+# _entropy_slack of the swept total, instead, and clears none.
 
 
-def _last_two_compression(t, total, low, r2, pre, agg, best, picks):
+def _last_two_compression(t, slack, low, r2, pre, agg, best, picks):
     s = r2
     while True:
         a = low | s
@@ -423,7 +428,7 @@ def _last_two_compression(t, total, low, r2, pre, agg, best, picks):
         s = (s - 1) & r2
 
 
-def _last_two_min_max(t, total, low, r2, pre, agg, best, picks):
+def _last_two_min_max(t, slack, low, r2, pre, agg, best, picks):
     s = r2
     while True:
         a = low | s
@@ -444,7 +449,7 @@ def _last_two_min_max(t, total, low, r2, pre, agg, best, picks):
         s = (s - 1) & r2
 
 
-def _last_two_min_diff(t, total, low, r2, pre, agg, best, picks):
+def _last_two_min_diff(t, slack, low, r2, pre, agg, best, picks):
     hi0, lo0 = agg
     s = r2
     while True:
@@ -469,7 +474,7 @@ def _last_two_min_diff(t, total, low, r2, pre, agg, best, picks):
         s = (s - 1) & r2
 
 
-def _last_two_product(t, total, low, r2, pre, agg, best, picks):
+def _last_two_product(t, slack, low, r2, pre, agg, best, picks):
     s = r2
     while True:
         a = low | s
@@ -485,11 +490,10 @@ def _last_two_product(t, total, low, r2, pre, agg, best, picks):
         s = (s - 1) & r2
 
 
-def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
+def _last_two_entropy(t, slack, low, r2, pre, agg, best, picks):
     # best is the least plain sum of terms so far, and a split within the
     # slack of it is kept; picks a later, lower best leaves outside the
     # band are dropped by _sweep's settle, not here
-    slack = _entropy_slack(total)
     cut = best + slack
     s = r2
     while True:
@@ -516,15 +520,34 @@ def _last_two_entropy(t, total, low, r2, pre, agg, best, picks):
 # as a bound, only when that bound does not rule the choice out.
 
 
-def _summary(last_two, t, total, r, agg0, best0):
+def _summary(last_two, score, t, sums, r, agg0, best0):
     """(m, splits): the best value of remainder r's last two blocks alone,
-    and every split of r that reaches it."""
-    splits: list = []
+    and every split of r that reaches it.
+
+    r is dominated when its largest weight x, at its lowest position, is
+    at least the sum of the rest: 2 * x >= sums[r]. Then x alone against
+    the rest is the one best split, scored by score with no scan, since
+    weights are >= 1. Any other split adds a nonempty part S of the rest
+    to x's block:
+    - balance objectives: x's side is the heavier, so the larger sum
+      grows, the smaller falls and their product falls, all strictly.
+    - compression: Huffman merges S before x, so t[x | S] = t[S] +
+      sums[S] + x > t[S] + sums[rest], while merging the trees of S and
+      of rest ^ S costs t[S] + t[rest ^ S] + sums[rest] >= t[rest].
+    - entropy, whose summary is only a bound: q * log2(q) is strictly
+      convex, so the evener split is the lesser. Float rounding, about an
+      ulp, lies far inside the 2e-12 * total _entropy_slack keeps past the
+      band, so the kept set cannot change.
+    """
     low = r & -r
-    return last_two(t, total, low, r ^ low, (), agg0, best0, splits), splits
+    rest = r ^ low
+    if 2 * sums[low] >= sums[r]:
+        return score((t[low], t[rest])), [(low, rest)]
+    splits: list = []
+    return last_two(t, 0.0, low, rest, (), agg0, best0, splits), splits
 
 
-def _last_three_compression(t, total, low, r2, pre, agg, best, picks, summ):
+def _last_three_compression(t, sums, slack, low, r2, pre, agg, best, picks, summ):
     # each split adds its own term to agg + t[b], so the summary's splits
     # are exactly the best ones under any prefix
     s = r2
@@ -533,7 +556,7 @@ def _last_three_compression(t, total, low, r2, pre, agg, best, picks, summ):
         r = r2 ^ s
         e = summ[r]
         if e is None:
-            e = summ[r] = _summary(_last_two_compression, t, total, r, 0, math.inf)
+            e = summ[r] = _summary(_last_two_compression, sum, t, sums, r, 0, math.inf)
         v = agg + t[b] + e[0]
         if v <= best:
             if v < best:
@@ -546,7 +569,7 @@ def _last_three_compression(t, total, low, r2, pre, agg, best, picks, summ):
         s = (s - 1) & r2
 
 
-def _last_three_product(t, total, low, r2, pre, agg, best, picks, summ):
+def _last_three_product(t, sums, slack, low, r2, pre, agg, best, picks, summ):
     # agg * t[b] is 0 only when b is empty; then so is r, which has one split
     s = r2
     while True:
@@ -554,7 +577,7 @@ def _last_three_product(t, total, low, r2, pre, agg, best, picks, summ):
         r = r2 ^ s
         e = summ[r]
         if e is None:
-            e = summ[r] = _summary(_last_two_product, t, total, r, 1, -1)
+            e = summ[r] = _summary(_last_two_product, math.prod, t, sums, r, 1, -1)
         v = agg * t[b] * e[0]
         if v >= best:
             if v > best:
@@ -576,7 +599,7 @@ class _Settled(namedtuple("_Settled", "head rest slots")):
     __slots__ = ()
 
 
-def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
+def _last_three_min_max(t, sums, slack, low, r2, pre, agg, best, picks, summ):
     # with a = max(agg, t[b]) <= m every split scores max(a, its own max),
     # so the summary's splits are the best ones; above m, a split ties at a
     # whenever its own max is at most a. Over sums >= 0 no split's own max
@@ -593,7 +616,7 @@ def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
             a = agg
         e = summ[r]
         if e is None and not 0 <= t[r] <= a:
-            e = summ[r] = _summary(_last_two_min_max, t, total, r, -math.inf, math.inf)
+            e = summ[r] = _summary(_last_two_min_max, max, t, sums, r, -math.inf, math.inf)
         if e is not None and a <= e[0]:
             m = e[0]
             if m <= best:
@@ -610,15 +633,17 @@ def _last_three_min_max(t, total, low, r2, pre, agg, best, picks, summ):
                 picks.append(_Settled(pre + (b,), r, 2))
             else:
                 low_r = r & -r
-                best = _last_two_min_max(
-                    t, total, low_r, r ^ low_r, pre + (b,), a, best, picks
-                )
+                best = _last_two_min_max(t, slack, low_r, r ^ low_r, pre + (b,), a, best, picks)
         if not s:
             return best
         s = (s - 1) & r2
 
 
-def _last_three_min_diff(t, total, low, r2, pre, agg, best, picks, summ):
+def _span(terms):
+    return max(terms) - min(terms)
+
+
+def _last_three_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, summ):
     # the last two sums x <= y add up to t[r], so a split's score
     # max(hi, y) - min(lo, x), with hi and lo the extremes of agg and t[b],
     # does not fall as y - x grows and is least at the summary's y - x = m.
@@ -631,7 +656,9 @@ def _last_three_min_diff(t, total, low, r2, pre, agg, best, picks, summ):
         r = r2 ^ s
         m = summ[r]
         if m is None:
-            m = summ[r] = _summary(_last_two_min_diff, t, total, r, (0, math.inf), math.inf)[0]
+            m = summ[r] = _summary(
+                _last_two_min_diff, _span, t, sums, r, (0, math.inf), math.inf
+            )[0]
         q = t[b]
         hi = hi0 if hi0 > q else q
         lo = lo0 if lo0 < q else q
@@ -640,99 +667,211 @@ def _last_three_min_diff(t, total, low, r2, pre, agg, best, picks, summ):
         if (y if y > hi else hi) - (x if x < lo else lo) <= best:
             low_r = r & -r
             best = _last_two_min_diff(
-                t, total, low_r, r ^ low_r, pre + (b,), (hi, lo), best, picks
+                t, slack, low_r, r ^ low_r, pre + (b,), (hi, lo), best, picks
             )
         if not s:
             return best
         s = (s - 1) & r2
 
 
-def _last_three_entropy(t, total, low, r2, pre, agg, best, picks, summ):
+def _float_sum(terms):
+    # term by term from 0.0, in order, as the levels add entropy's terms:
+    # the sum() of Python 3.12 on would round differently
+    return reduce(add, terms, 0.0)
+
+
+def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ):
     # m, the least t[a] + t[b] over r's splits, bounds the sums the scan
     # below compares, up to rounding far inside the slack; a choice past
     # the cut gets no scan, since the scan would keep nothing
-    slack = _entropy_slack(total)
     s = r2
     while True:
         b = low | s
         r = r2 ^ s
         m = summ[r]
         if m is None:
-            m = summ[r] = _summary(_last_two_compression, t, total, r, 0, math.inf)[0]
+            m = summ[r] = _summary(_last_two_compression, _float_sum, t, sums, r, 0, math.inf)[0]
         a = agg + t[b]
         if a + m <= best + slack:
             low_r = r & -r
-            best = _last_two_entropy(t, total, low_r, r ^ low_r, pre + (b,), a, best, picks)
+            best = _last_two_entropy(t, slack, low_r, r ^ low_r, pre + (b,), a, best, picks)
         if not s:
             return best
         s = (s - 1) & r2
 
 
-# objective -> (innermost level, the level above it, fold of one more
-# block's term into agg, agg before any block). max_min minimizes the
-# largest of its terms, the negated sums, as min_max does its sums;
-# entropy the float sum of its terms, as compression does its integer one
+# Each objective's bound: whether its placing level may skip remainder r,
+# with j >= 2 slots left after the blocks folded into agg, since a proven
+# bound on r's best completion is strictly worse than best. R = sums[r] is
+# r's sum and x = sums[r & -r] its largest weight, at its lowest position,
+# or 0 if r is empty. On wide weights x dominates R, and the block holding
+# it limits every completion more than R / j does. Under the balance
+# objectives some block holds x, and one ceil(R / j) or more; with
+# x >= R / j the other j - 1 share R - x, else one holds floor(R / j) or less.
+
+
+def _skip_compression(t, sums, slack, agg, r, j, best):
+    # a balanced tree over the j blocks' Huffman trees puts each root at
+    # depth ceil(log2(j)), so merging them into one tree for r costs at
+    # most that many times R, and no tree for r costs less than t[r]
+    return agg + t[r] - (j - 1).bit_length() * sums[r] > best
+
+
+def _skip_product_of_sums(t, sums, slack, agg, r, j, best):
+    R = sums[r]
+    x = sums[r & -r]
+    if x * j > R:
+        # the block holding x sums to some y >= x > R / j, the other
+        # j - 1 to at most ((R - y) / (j - 1)) ** (j - 1) by AM-GM, and
+        # y * (R - y) ** (j - 1) falls as y grows past R / j
+        return agg * x * (R - x) ** (j - 1) < best * (j - 1) ** (j - 1)
+    # AM-GM: j sums that add up to R multiply to at most (R / j) ** j
+    return agg * R**j < best * j**j
+
+
+def _skip_entropy(t, sums, slack, agg, r, j, best):
+    # q * log2(q) is convex, so the j terms add up to R * log2(R / j) or
+    # more; with x > R / j, to x * log2(x) plus the other j - 1 blocks'
+    # least, which grows with the block holding x. The slack is the
+    # innermost level's, and covers the rounding on both sides
+    R = sums[r]
+    x = sums[r & -r]
+    if x * j > R:
+        rest = R - x
+        least = x * math.log2(x) + (rest * math.log2(rest / (j - 1)) if rest else 0.0)
+    else:
+        least = R * math.log2(R / j) if R else 0.0
+    return agg + least > best + slack
+
+
+def _skip_min_max(t, sums, slack, agg, r, j, best):
+    R = sums[r]
+    x = sums[r & -r]
+    return agg > best or (x if x * j >= R else -(-R // j)) > best
+
+
+def _skip_max_min(t, sums, slack, agg, r, j, best):
+    R = sums[r]
+    x = sums[r & -r]
+    return agg > best or -((R - x) // (j - 1) if x * j >= R else R // j) > best
+
+
+def _skip_min_diff(t, sums, slack, agg, r, j, best):
+    hi, lo = agg
+    R = sums[r]
+    x = sums[r & -r]
+    if x * j >= R:
+        top, bottom = x, (R - x) // (j - 1)
+    else:
+        top, bottom = -(-R // j), R // j
+    return (hi if hi > top else top) - (lo if lo < bottom else bottom) > best
+
+
+# Each objective's placing level places block b = low | s, folds its term
+# into agg and hands the remainder r = r2 ^ s, with its j slots, to
+# descend, the next level down, unless the blocks' own score, which every
+# completion reaches, or else the remainder's bound, rules the choice out.
+
+
+def _place_compression(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
+    s = r2
+    while True:
+        b = low | s
+        a = agg + t[b]
+        if a <= best and not _skip_compression(t, sums, slack, a, r2 ^ s, j, best):
+            best = descend(r2 ^ s, j, pre + (b,), a, best)
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _place_product(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
+    # a block's own product says nothing until the rest is placed
+    s = r2
+    while True:
+        b = low | s
+        a = agg * t[b]
+        if not _skip_product_of_sums(t, sums, slack, a, r2 ^ s, j, best):
+            best = descend(r2 ^ s, j, pre + (b,), a, best)
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _place_entropy(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
+    # terms are >= 0, so adding the rest's never lowers a float sum
+    s = r2
+    while True:
+        b = low | s
+        a = agg + t[b]
+        if a <= best + slack and not _skip_entropy(t, sums, slack, a, r2 ^ s, j, best):
+            best = descend(r2 ^ s, j, pre + (b,), a, best)
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _place_min_max(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
+    s = r2
+    while True:
+        b = low | s
+        a = t[b] if t[b] > agg else agg
+        if a <= best:
+            r = r2 ^ s
+            if t[r] <= a:
+                # no block of r outweighs a, so every completion scores a
+                if a < best:
+                    best = a
+                    picks.clear()
+                picks.append(_Settled(pre + (b,), r, j))
+            elif not _skip_min_max(t, sums, slack, a, r, j, best):
+                best = descend(r, j, pre + (b,), a, best)
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _place_max_min(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
+    # no settled branch: over the negated sums only an empty remainder settles
+    s = r2
+    while True:
+        b = low | s
+        a = t[b] if t[b] > agg else agg
+        if a <= best and not _skip_max_min(t, sums, slack, a, r2 ^ s, j, best):
+            best = descend(r2 ^ s, j, pre + (b,), a, best)
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+def _place_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
+    hi0, lo0 = agg
+    s = r2
+    while True:
+        b = low | s
+        q = t[b]
+        hi = hi0 if hi0 > q else q
+        lo = lo0 if lo0 < q else q
+        if hi - lo <= best and not _skip_min_diff(t, sums, slack, (hi, lo), r2 ^ s, j, best):
+            best = descend(r2 ^ s, j, pre + (b,), (hi, lo), best)
+        if not s:
+            return best
+        s = (s - 1) & r2
+
+
+# objective -> (innermost level, the level above it, the placing level,
+# the score of a whole partition's terms, agg before any block). max_min
+# minimizes the largest of its terms, the negated sums, as min_max does its
+# sums; entropy the float sum of its terms, as compression does its integer
+# one. min_diff's agg is the (largest, least) pair of its terms
 _SWEEPS = {
-    "compression": (_last_two_compression, _last_three_compression, int.__add__, 0),
-    "min_max": (_last_two_min_max, _last_three_min_max, max, -math.inf),
-    "max_min": (_last_two_min_max, _last_three_min_max, max, -math.inf),
-    "min_diff": (
-        _last_two_min_diff,
-        _last_three_min_diff,
-        lambda agg, q: (max(agg[0], q), min(agg[1], q)),
-        (0, math.inf),
-    ),
-    "product_of_sums": (_last_two_product, _last_three_product, int.__mul__, 1),
-    "entropy": (_last_two_entropy, _last_three_entropy, float.__add__, 0.0),
+    "compression": (_last_two_compression, _last_three_compression, _place_compression, sum, 0),
+    "min_max": (_last_two_min_max, _last_three_min_max, _place_min_max, max, -math.inf),
+    "max_min": (_last_two_min_max, _last_three_min_max, _place_max_min, max, -math.inf),
+    "min_diff": (_last_two_min_diff, _last_three_min_diff, _place_min_diff, _span, (0, math.inf)),
+    "product_of_sums": (_last_two_product, _last_three_product, _place_product, math.prod, 1),
+    "entropy": (_last_two_entropy, _last_three_entropy, _place_entropy, _float_sum, 0.0),
 }
-
-
-def _skip(objective: str, t, s, total, agg, r, j: int, best) -> bool:
-    """Whether a level placing a block before the last two may skip
-    remainder r, with j >= 2 slots left after the prefix folded into agg: a
-    proven bound on r's best completion is strictly worse than best.
-
-    The bounds read R = s[r], r's subset sum, and x, the subset sum of r's
-    lowest sorted position: its largest weight. On wide weights x dominates
-    R, and the block holding it limits every completion more than R / j
-    does.
-    """
-    R = s[r]
-    if objective == "compression":
-        # a balanced tree over the j blocks' Huffman trees puts each root at
-        # depth ceil(log2(j)), so merging them into one tree for r costs at
-        # most that many times R, and no tree for r costs less than t[r]
-        return agg + t[r] - (j - 1).bit_length() * R > best
-    # r's lowest bit, or 0 for the empty remainder, whose x is 0
-    x = s[r & -r]
-    if objective == "product_of_sums":
-        if x * j > R:
-            # the block holding x sums to some y >= x > R / j, the other
-            # j - 1 to at most ((R - y) / (j - 1)) ** (j - 1) by AM-GM, and
-            # y * (R - y) ** (j - 1) falls as y grows past R / j
-            return agg * x * (R - x) ** (j - 1) < best * (j - 1) ** (j - 1)
-        # AM-GM: j sums that add up to R multiply to at most (R / j) ** j
-        return agg * R**j < best * j**j
-    if objective == "entropy":
-        # q * log2(q) is convex, so the j terms add up to R * log2(R / j) or
-        # more; with x > R / j, to x * log2(x) plus the other j - 1 blocks'
-        # least, which grows with the block holding x. The slack is the
-        # innermost level's, and covers the rounding on both sides
-        if x * j > R:
-            rest = R - x
-            least = x * math.log2(x) + (rest * math.log2(rest / (j - 1)) if rest else 0.0)
-        else:
-            least = R * math.log2(R / j) if R else 0.0
-        return agg + least > best + _entropy_slack(total)
-    if objective == "min_max":
-        # some block holds ceil(R / j) or more, and one at least x
-        return max(agg, -(-R // j), x) > best
-    # the least sum is lo or less: some block holds floor(R / j) or less,
-    # and the j - 1 blocks besides x's share R - x or less
-    lo = min(R // j, (R - x) // (j - 1))
-    if objective == "max_min":
-        return max(agg, -lo) > best
-    return max(agg[0], -(-R // j), x) - min(agg[1], lo) > best
 
 
 def _incumbent(t, w, k: int, objective: str, full: int):
@@ -747,10 +886,7 @@ def _incumbent(t, w, k: int, objective: str, full: int):
             i = sums.index(min(sums))
             blocks[i] |= 1 << p
             sums[i] += w[p]
-    _, _, fold, agg = _SWEEPS[objective]
-    for b in blocks:
-        agg = fold(agg, t[b])
-    return agg[0] - agg[1] if objective == "min_diff" else agg
+    return _SWEEPS[objective][3]([t[b] for b in blocks])
 
 
 def _partitions_up_to(n: int, k: int) -> int:
@@ -779,59 +915,37 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
     position, so only compression may be swept over w in any other order.
 
     The best starts at a greedy partition's score from this same family,
-    so no tie at a worse value is kept, and each level that places a
-    block before the last two skips a remainder that _skip rules out on
-    the subset sums. At k >= 4 the third-to-last block is placed by the
-    summary level of the module docstring. Returns (best, picks), with
+    so no tie at a worse value is kept. descend hands a remainder and its
+    slots to the objective's placing level, whose bound may skip it; at
+    k >= 4 to the summary level of the module docstring with three slots
+    left; and to the innermost level with two. Returns (best, picks), with
     picks the block-mask tuples of every optimum in sweep order, and under
     min_max the _Settled groups that stand for many at once; the sweep
     counts no partitions. Entropy's levels keep every partition within
     _entropy_slack of the least sum of terms so far; its band is settled
     here, once, on each kept partition's H from the fsum of its terms.
     """
-    last_two, last_three, fold, agg0 = _SWEEPS[objective]
+    last_two, last_three, place, _, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
     total = sums[full]
+    slack = _entropy_slack(total)
     best = _incumbent(t, w, k, objective, full)
     picks: list = []
     summ = [None] * (full + 1) if k > 3 else None
-    # over max_min's negated sums only an empty remainder could settle, and
-    # the levels below place its one completion all the same
-    settles = objective == "min_max"
 
-    def place(rem, slots, pre, agg):
-        nonlocal best
+    def descend(rem, slots, pre, agg, best):
         low = rem & -rem
-        r2 = rem ^ low
         if slots == 2:
-            best = last_two(t, total, low, r2, pre, agg, best, picks)
-            return
+            return last_two(t, slack, low, rem ^ low, pre, agg, best, picks)
         if slots == 3 and summ is not None:
-            best = last_three(t, total, low, r2, pre, agg, best, picks, summ)
-            return
-        s = r2
-        while True:
-            b = low | s
-            r = r2 ^ s
-            a = fold(agg, t[b])
-            if settles and 0 <= t[r] <= a:
-                # no block of r outweighs a, so every completion scores a
-                if a <= best:
-                    if a < best:
-                        best = a
-                        picks.clear()
-                    picks.append(_Settled(pre + (b,), r, slots - 1))
-            elif not _skip(objective, t, sums, total, a, r, slots - 1, best):
-                place(r, slots - 1, pre + (b,), a)
-            if not s:
-                return
-            s = (s - 1) & r2
+            return last_three(t, sums, slack, low, rem ^ low, pre, agg, best, picks, summ)
+        return place(t, sums, slack, low, rem ^ low, pre, agg, best, picks, slots - 1, descend)
 
     if k == 1:
         # the greedy put every position in block 0: the only partition
         picks.append((full,))
     else:
-        place(full, k, (), agg0)
+        best = descend(full, k, (), agg0, best)
     if objective == "entropy":
         hs = [_terms_bits(map(t.__getitem__, blocks), total) for blocks in picks]
         best = max(hs)

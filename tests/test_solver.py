@@ -718,15 +718,15 @@ def _summary_level_run(monkeypatch, inst, k, objective):
     choices = 0
     scanned = []
 
-    def two(t, total, low, r2, pre, agg, best, picks):
+    def two(t, slack, low, r2, pre, agg, best, picks):
         if pre:
             scanned.append(pre)
-        return last_two(t, total, low, r2, pre, agg, best, picks)
+        return last_two(t, slack, low, r2, pre, agg, best, picks)
 
-    def three(t, total, low, r2, pre, agg, best, picks, summ):
+    def three(t, sums, slack, low, r2, pre, agg, best, picks, summ):
         nonlocal choices
         choices += 1 << r2.bit_count()
-        return last_three(t, total, low, r2, pre, agg, best, picks, summ)
+        return last_three(t, sums, slack, low, r2, pre, agg, best, picks, summ)
 
     with monkeypatch.context() as m:
         m.setattr(solver, last_two.__name__, two)
@@ -779,6 +779,67 @@ def test_summary_level_takes_each_branch(monkeypatch):
         inst = Instance(tuple(_oracle_weights(rng, 9, 0)))
         choices, scanned, _ = _summary_level_run(monkeypatch, inst, 5, objective)
         assert choices > 0 and not scanned
+
+
+def _dominated_cases():
+    """Instances whose remainders are dominated, their largest weight x at
+    least the sum of the rest, at k = 2..6: x exactly the rest's sum at
+    every depth, superincreasing weights, one dominant weight over tied
+    light ones, and all-equal weights, whose one- and two-weight remainders
+    are dominated and whose longer ones are not. Beside the boundary some
+    remainders fall one light weight short of it, 2 * x + w = R, where x
+    alone and x with w tie under the balance objectives."""
+    for ws in (
+        (4, 2, 1, 1),
+        (6, 3, 2, 1),
+        (8, 4, 4),
+        (1, 16, 2, 8, 1, 4),
+        (12, 6, 3, 2, 1),
+        (1, 2, 4, 8, 16, 32, 64),
+        (3, 5, 9, 17, 34, 70),
+        (2, 40, 3, 3, 3, 3, 3),
+        (9, 2, 2, 1, 2, 1, 1),
+        (3, 2, 1, 1, 3, 1),
+        (5, 5, 5, 5, 5, 5, 5),
+    ):
+        for k in range(2, 7):
+            yield Instance(ws), k
+
+
+def test_dominated_remainders_match_the_rgs_oracle():
+    for inst, k in _dominated_cases():
+        want = _rgs_oracle(inst, k)
+        for objective in OBJECTIVES:
+            assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
+        if len(inst.weights) > k:
+            assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
+
+
+def test_dominated_summaries_need_no_scan(monkeypatch):
+    # of the 1,024 summaries of this (12, 4) log-uniform instance, the 112
+    # whose largest weight is under the rest's sum scan the remainder's
+    # splits; all 1,024 did before. min_max settles every choice it keeps
+    # and sums up no remainder
+    rng = random.Random("solver:dominated-scans")
+    inst = Instance(tuple(min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) for _ in range(12)))
+    summary = solver._summary
+    counts = {}
+
+    def counted(last_two, *args):
+        def scan(*a):
+            counts[objective][1] += 1
+            return last_two(*a)
+
+        counts[objective][0] += 1
+        return summary(scan, *args)
+
+    monkeypatch.setattr(solver, "_summary", counted)
+    for objective in solver._SWEEPS:
+        counts[objective] = [0, 0]
+        brute_force(inst, 4, objective)
+    want = dict.fromkeys(solver._SWEEPS, [1024, 112])
+    want["min_max"] = [0, 0]
+    assert counts == want
 
 
 def _stirling_up_to(n, k):
@@ -899,6 +960,29 @@ def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
         assert res == want[objective], objective
 
 
+# how each objective's placing level folds one more block's term into agg
+_FOLDS = {
+    "compression": operator.add,
+    "entropy": operator.add,
+    "product_of_sums": operator.mul,
+    "min_max": max,
+    "max_min": max,
+    "min_diff": lambda agg, q: (max(agg[0], q), min(agg[1], q)),
+}
+
+
+def _bound_skips(objective, w, prefix, r, j):
+    """Whether the objective's bound skips remainder r, with j slots left
+    after the prefix blocks, when the best so far is r's best completion."""
+    t, sums = solver._slot_table(w, objective)
+    agg = solver._SWEEPS[objective][4]
+    for b in prefix:
+        agg = _FOLDS[objective](agg, t[b])
+    best = _completion_best(objective, w, prefix, r, j)
+    skip = getattr(solver, f"_skip_{objective}")
+    return skip(t, sums, solver._entropy_slack(sum(w)), agg, r, j, best)
+
+
 def _completion_best(objective, w, prefix, r, j):
     """Best value over every split of remainder r into <= j blocks after the
     prefix blocks, scored from the groups' weights alone, in the sweep's
@@ -933,7 +1017,7 @@ def _completion_best(objective, w, prefix, r, j):
 )
 def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     # a remainder whose bound is no worse than its own best completion is
-    # never skipped, so no skip can lose an optimum. A sweep calls _skip
+    # never skipped, so no skip can lose an optimum. A sweep calls a bound
     # with 2 to 6 slots left (see test_sweeps_call_skip_with_two_slots_or_more)
     w = sorted(ws, reverse=True)
     n = len(w)
@@ -943,12 +1027,7 @@ def test_bounds_never_exceed_the_best_completion(objective, ws, j, data):
     groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
     prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
     prefix = [b for b in prefix if b]
-    t, sums = solver._slot_table(w, objective)
-    _, _, fold, agg = solver._SWEEPS[objective]
-    for b in prefix:
-        agg = fold(agg, t[b])
-    best = _completion_best(objective, w, prefix, r, j)
-    assert not solver._skip(objective, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
+    assert not _bound_skips(objective, w, prefix, r, j), (w, prefix, r, j)
 
 
 @settings(max_examples=300, deadline=None)
@@ -973,25 +1052,24 @@ def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x,
     groups = data.draw(st.lists(st.integers(0, 2), min_size=len(rest), max_size=len(rest)))
     prefix = [sum(1 << p for p, g in zip(rest, groups) if g == i) for i in range(3)]
     prefix = [b for b in prefix if b]
-    t, sums = solver._slot_table(w, objective)
-    _, _, fold, agg = solver._SWEEPS[objective]
-    for b in prefix:
-        agg = fold(agg, t[b])
-    best = _completion_best(objective, w, prefix, r, j)
-    assert not solver._skip(objective, t, sums, sum(w), agg, r, j, best), (w, prefix, r, j, best)
+    assert not _bound_skips(objective, w, prefix, r, j), (w, prefix, r, j)
 
 
 def test_sweeps_call_skip_with_two_slots_or_more(monkeypatch):
-    # a level with two slots left scans them, so _skip, which has no case
-    # for a single slot, only ever sees j >= 2, under every swept objective
-    skip = solver._skip
+    # a level with two slots left scans them, so no bound, none of which
+    # has a case for a single slot, ever sees j < 2, under any objective
     slots = {}
 
-    def recorded(objective, t, s, total, agg, r, j, best):
-        slots.setdefault(objective, set()).add(j)
-        return skip(objective, t, s, total, agg, r, j, best)
+    def recorder(objective, skip):
+        def recorded(t, sums, slack, agg, r, j, best):
+            slots.setdefault(objective, set()).add(j)
+            return skip(t, sums, slack, agg, r, j, best)
 
-    monkeypatch.setattr(solver, "_skip", recorded)
+        return recorded
+
+    for objective in solver._SWEEPS:
+        name = f"_skip_{objective}"
+        monkeypatch.setattr(solver, name, recorder(objective, getattr(solver, name)))
     corpora = chain(_oracle_cases(120), _summary_level_cases(), _tie_heavy_oracle_cases(80))
     for inst, k in corpora:
         for objective in OBJECTIVES:
