@@ -14,8 +14,9 @@ is then k block masks, and scoring it takes O(1) lookups instead of
 regrouping n elements. min_entropy has no sweep of its own: it is read
 off the min_max sweep. max_min runs min_max's sweep over its terms, each
 block's sum negated, and reports minus its value. Entropy is swept for
-the least float sum of its terms, within a fixed slack, and its 1e-9 band
-is settled once, at the end, on each kept partition's correctly rounded H.
+the least float sum of its terms, within a fixed slack; math.fsum scores
+what only seeds or bounds that sweep, and its 1e-9 band is settled once,
+at the end, on each kept partition's correctly rounded H.
 
 At k >= 4 the same remainder, the positions left for the last two blocks,
 recurs under many choices of the blocks before them: 1,024 remainders
@@ -62,9 +63,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import compress, count, islice, repeat
-from operator import add, mul, ne
+from operator import mul, ne
 
 from .core import Instance, InputError, Partition, SizeLimitError
 from .core import _check_covers, _check_int, _check_k, _first_occurrence, _int_text, _int_tuple
@@ -674,12 +675,6 @@ def _last_three_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, summ):
         s = (s - 1) & r2
 
 
-def _float_sum(terms):
-    # term by term from 0.0, in order, as the levels add entropy's terms:
-    # the sum() of Python 3.12 on would round differently
-    return reduce(add, terms, 0.0)
-
-
 def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ):
     # m, the least t[a] + t[b] over r's splits, bounds the sums the scan
     # below compares, up to rounding far inside the slack; a choice past
@@ -690,7 +685,7 @@ def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ):
         r = r2 ^ s
         m = summ[r]
         if m is None:
-            m = summ[r] = _summary(_last_two_compression, _float_sum, t, sums, r, 0, math.inf)[0]
+            m = summ[r] = _summary(_last_two_compression, math.fsum, t, sums, r, 0, math.inf)[0]
         a = agg + t[b]
         if a + m <= best + slack:
             low_r = r & -r
@@ -708,6 +703,8 @@ def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ):
 # it limits every completion more than R / j does. Under the balance
 # objectives some block holds x, and one ceil(R / j) or more; with
 # x >= R / j the other j - 1 share R - x, else one holds floor(R / j) or less.
+# A placing level asks its bound only after its own-score test has passed
+# (product_of_sums has none), so no bound tests agg against best alone.
 
 
 def _skip_compression(t, sums, slack, agg, r, j, best):
@@ -747,13 +744,13 @@ def _skip_entropy(t, sums, slack, agg, r, j, best):
 def _skip_min_max(t, sums, slack, agg, r, j, best):
     R = sums[r]
     x = sums[r & -r]
-    return agg > best or (x if x * j >= R else -(-R // j)) > best
+    return (x if x * j >= R else -(-R // j)) > best
 
 
 def _skip_max_min(t, sums, slack, agg, r, j, best):
     R = sums[r]
     x = sums[r & -r]
-    return agg > best or -((R - x) // (j - 1) if x * j >= R else R // j) > best
+    return -((R - x) // (j - 1) if x * j >= R else R // j) > best
 
 
 def _skip_min_diff(t, sums, slack, agg, r, j, best):
@@ -863,14 +860,14 @@ def _place_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
 # the score of a whole partition's terms, agg before any block). max_min
 # minimizes the largest of its terms, the negated sums, as min_max does its
 # sums; entropy the float sum of its terms, as compression does its integer
-# one. min_diff's agg is the (largest, least) pair of its terms
+# one, scored by fsum. min_diff's agg is the (largest, least) pair of terms
 _SWEEPS = {
     "compression": (_last_two_compression, _last_three_compression, _place_compression, sum, 0),
     "min_max": (_last_two_min_max, _last_three_min_max, _place_min_max, max, -math.inf),
     "max_min": (_last_two_min_max, _last_three_min_max, _place_max_min, max, -math.inf),
     "min_diff": (_last_two_min_diff, _last_three_min_diff, _place_min_diff, _span, (0, math.inf)),
     "product_of_sums": (_last_two_product, _last_three_product, _place_product, math.prod, 1),
-    "entropy": (_last_two_entropy, _last_three_entropy, _place_entropy, _float_sum, 0.0),
+    "entropy": (_last_two_entropy, _last_three_entropy, _place_entropy, math.fsum, 0.0),
 }
 
 
@@ -878,7 +875,7 @@ def _incumbent(t, w, k: int, objective: str, full: int):
     """Score, as the innermost level scores it, of a largest-first greedy
     partition of the positions in the mask full: each, from position 0 up,
     so the largest weight first, joins the lightest block, the lowest on
-    ties."""
+    ties. Entropy's is the fsum of its terms, within an ulp of the levels' sum."""
     blocks = [0] * k
     sums = [0] * k
     for p in range(len(w)):
@@ -965,50 +962,43 @@ def _settled_keys(group: _Settled, digits):
     7.2.1.5). A class of partial partitions is the labels used and which
     of them label free blocks. A free index joins an open free block, or
     opens one while fewer than slots are; a head block takes the next
-    label, at every index of it at once. The classes that reach each event
-    are found first; then, from the last event back, each class gets its
-    completions' keys, a run of the next class's per move, in label order.
-    Runs of at most _RUN_KEYS keys in all are merged into one list, and
-    larger ones are not copied.
+    label, at every index of it at once. One walk, tails(i, used, free),
+    gives a class at event i its completions' keys, a run of the next
+    class's per move, in label order. Runs of at most _RUN_KEYS keys in
+    all are merged into one list, kept for each class that reaches it;
+    larger ones are not copied, but rebuilt per move and freed on return.
     """
     head, rest, slots = group
     heads = [digits[b] for b in head if b]
-    frees = []
-    r = rest
-    while r:
-        low = r & -r
-        r ^= low
-        frees.append(digits[low])
+    frees = [digits[1 << p] for p in range(rest.bit_length()) if rest >> p & 1]
     if slots == 2 and frees:
         return _two_slot_keys(heads, frees, digits[rest])
 
-    def moves(used, free, is_head):
-        """(label, next class) of each way one event can go."""
-        if is_head:
-            return [(used, (used + 1, free))]
-        out = [(label, (used, free)) for label in free]
-        if len(free) < slots:
-            out.append((used, (used + 1, free + (used,))))
-        return out
-
     events = sorted([(d, True) for d in heads] + [(d, False) for d in frees], reverse=True)
-    reach = [{(0, ())}]
-    for _, is_head in events:
-        reach.append({nxt for cls in reach[-1] for _, nxt in moves(*cls, is_head)})
-    tails = dict.fromkeys(reach.pop(), [(0, [0])])
-    for (d, is_head), classes in zip(reversed(events), reversed(reach)):
-        out = {}
-        for cls in classes:
-            runs = [
-                (off + label * d, keys)
-                for label, nxt in moves(*cls, is_head)
-                for off, keys in tails[nxt]
-            ]
-            if len(runs) > 1 and sum(len(keys) for _, keys in runs) <= _RUN_KEYS:
-                runs = [(0, [x + off for off, keys in runs for x in keys])]
-            out[cls] = runs
-        tails = out
-    return tails[0, ()]
+    small = {}  # (i, used, free) -> its one run, for each class whose keys fit in one
+
+    def tails(i, used, free):
+        if i == len(events):
+            return [(0, [0])]
+        if (i, used, free) in small:
+            return small[i, used, free]
+        d, is_head = events[i]
+        if is_head:
+            moves = [(used, used + 1, free)]
+        else:
+            moves = [(label, used, free) for label in free]
+            if len(free) < slots:
+                moves.append((used, used + 1, free + (used,)))
+        runs = [(off + label * d, keys) for label, *to in moves for off, keys in tails(i + 1, *to)]
+        if len(runs) > 1 and sum(len(keys) for _, keys in runs) <= _RUN_KEYS:
+            runs = [(0, [x + off for off, keys in runs for x in keys])]
+        if len(runs) == 1:
+            small[i, used, free] = runs
+        return runs
+
+    runs = tails(0, 0, ())
+    small.clear()  # tails holds small in a cycle: free its lists now, not at a collection
+    return runs
 
 
 def _two_slot_keys(heads, frees, whole):

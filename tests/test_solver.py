@@ -656,25 +656,6 @@ def test_settled_keys_list_every_partition_of_a_large_group_in_order():
         assert all(map(operator.lt, keys, keys[1:])), (head, slots)
 
 
-def test_sweep_matches_the_rgs_oracle():
-    corpora = _oracle_cases(120), _tie_heavy_oracle_cases(80), _band_edge_cases()
-    for inst, k in chain(*corpora, _settled_cases()):
-        want = _rgs_oracle(inst, k)
-        for objective in OBJECTIVES:
-            assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
-        if len(inst.weights) > k:
-            assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
-
-
-def test_summary_level_matches_the_rgs_oracle():
-    for inst, k in _summary_level_cases():
-        want = _rgs_oracle(inst, k)
-        for objective in OBJECTIVES:
-            assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
-        if len(inst.weights) > k:
-            assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
-
-
 log_uniform_weights = st.floats(0.0, 40.0).map(lambda u: min(MAX_WEIGHT, int(2.0**u)))
 
 
@@ -806,15 +787,6 @@ def _dominated_cases():
             yield Instance(ws), k
 
 
-def test_dominated_remainders_match_the_rgs_oracle():
-    for inst, k in _dominated_cases():
-        want = _rgs_oracle(inst, k)
-        for objective in OBJECTIVES:
-            assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
-        if len(inst.weights) > k:
-            assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
-
-
 def test_dominated_summaries_need_no_scan(monkeypatch):
     # of the 1,024 summaries of this (12, 4) log-uniform instance, the 112
     # whose largest weight is under the rest's sum scan the remainder's
@@ -940,12 +912,26 @@ def _lemma2_cases():
             yield Instance(tuple(_oracle_weights(rng, k + 1, shape))), k
 
 
-def test_lemma2_constrained_sweep_matches_the_rgs_oracle():
-    # the constrained minimum comes from a sweep over n - 1 positions whose
-    # last stands for the two smallest weights together; the reference
-    # keeps only the partitions that put those two in one block
-    for inst, k in _lemma2_cases():
-        assert verify_lemma2(inst, k) == _rgs_oracle(inst, k)["lemma2"], (inst, k)
+# each corpus of instances, built afresh by each run of the test
+_CORPORA = {
+    "oracle": lambda: _oracle_cases(120),
+    "tie_heavy": lambda: _tie_heavy_oracle_cases(80),
+    "band_edge": _band_edge_cases,
+    "settled": _settled_cases,
+    "summary_level": _summary_level_cases,
+    "dominated": _dominated_cases,
+    "lemma2": _lemma2_cases,
+}
+
+
+@pytest.mark.parametrize("corpus", list(_CORPORA))
+def test_sweep_matches_the_rgs_oracle(corpus):
+    for inst, k in _CORPORA[corpus]():
+        want = _rgs_oracle(inst, k)
+        for objective in OBJECTIVES:
+            assert brute_force(inst, k, objective) == want[objective], (inst, k, objective)
+        if len(inst.weights) > k:
+            assert verify_lemma2(inst, k) == want["lemma2"], (inst, k)
 
 
 def test_greedy_seed_that_ties_with_other_optima_keeps_them_all():
@@ -1057,12 +1043,20 @@ def test_largest_weight_bounds_never_exceed_the_best_completion(objective, j, x,
 
 def test_sweeps_call_skip_with_two_slots_or_more(monkeypatch):
     # a level with two slots left scans them, so no bound, none of which
-    # has a case for a single slot, ever sees j < 2, under any objective
+    # has a case for a single slot, ever sees j < 2, under any objective.
+    # Nor does any bound test the blocks' own score: each placing level asks
+    # its bound only after its own-score test has passed (product_of_sums
+    # has none), so that test must hold at every call
     slots = {}
+    failed = []
 
     def recorder(objective, skip):
         def recorded(t, sums, slack, agg, r, j, best):
             slots.setdefault(objective, set()).add(j)
+            own = agg[0] - agg[1] if objective == "min_diff" else agg
+            cut = best + slack if objective == "entropy" else best
+            if objective != "product_of_sums" and own > cut:
+                failed.append((objective, agg, best))
             return skip(t, sums, slack, agg, r, j, best)
 
         return recorded
@@ -1080,6 +1074,7 @@ def test_sweeps_call_skip_with_two_slots_or_more(monkeypatch):
         verify_principle_of_optimality(inst, k, trials=1000)
     assert set(slots) == set(solver._SWEEPS)
     assert all(min(js) >= 2 for js in slots.values()), slots
+    assert not failed, failed[:5]
 
 
 def test_largest_weight_bounds_prune_the_balance_sweeps(monkeypatch):
