@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InputError, _check_weights
+from .core import MAX_ELEMENTS, MAX_WEIGHT, InputError, _check_weights
 
-# Strictly larger than any merge sum inside the size envelope (below 2**60);
-# used to pad both queues so the hot loop needs no emptiness checks.
-_SENTINEL = 1 << 62
+# Pads both queues so the hot loop needs no emptiness checks. A merge sums
+# some of the weights, so any value above the largest possible total,
+# MAX_WEIGHT * MAX_ELEMENTS, exceeds every merge sum; this is 2**62.
+_SENTINEL = 4 * MAX_WEIGHT * MAX_ELEMENTS
 
 
 def _merge(vals: list[int], k: int) -> tuple[list[int], list[int], int, int]:

@@ -346,6 +346,16 @@ def _guard_oracle(n: int, k: int) -> None:
         raise SizeLimitError(f"oracle handles at most k={MAX_ORACLE_K}, got {k}")
 
 
+def _subset_table(values, empty) -> list:
+    """The sum of each subset of values, indexed by mask, bit p standing for
+    values[p], and empty for the empty subset's. Each value is added on the
+    left, so lists of descending weights come out ascending."""
+    out = [empty]
+    for x in values:
+        out += [x + q for q in out]
+    return out
+
+
 def _slot_table(w, objective: str) -> tuple[list, list]:
     """(t, sums): the objective's per-block term and the subset sum, each
     indexed by subset mask, filled in one pass that serves every sweep.
@@ -353,11 +363,9 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
     Bit p of a mask stands for sorted position p of the descending weights
     w. Compression's t is the merge cost of the members, entropy's
     q * log2(q) of the subset sum q (0.0 for the empty block), max_min's
-    -q, and every other t is sums itself. Each half of a table fills from
-    the half below its top bit, whose weight is no larger than any below
-    it, so it goes first and the members come out ascending, as
-    _merge_cost_sorted reads them: O(2**n) entries, at every k, k = 1
-    included, whose one partition is scored from them as any other.
+    -q, and every other t is sums itself. One _subset_table doubling fills
+    sums: O(2**n) entries, at every k, k = 1 included, whose one partition
+    is scored from them as any other.
 
     Most merge costs are read off a smaller subset's. Mask m's largest
     weight y sits at its lowest bit, g is m without it, and x is g's
@@ -367,14 +375,16 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
     value g's merge takes in exceeds y, and a merge of m may run g's
     merges first, since a tie between equal values leaves the cost
     unchanged, and take y last: t[m] = t[g] + sums[m]. Otherwise m's
-    members are folded.
+    members are folded, ascending as _merge_cost_sorted reads them: those
+    among the lighter positions h.. and then among the heavier 0..h - 1,
+    from two _subset_table doublings of 2**(n - h) and 2**h member lists.
     """
-    sums = [0]
+    sums = _subset_table(w, 0)
     if objective == "compression":
-        members: list[list[int]] = [[]]
-        for x in w:
-            members += [[x] + g for g in members]
-            sums += [q + x for q in sums]
+        h = len(w) // 2
+        cut = (1 << h) - 1
+        heavy = _subset_table([[x] for x in w[:h]], [])
+        light = _subset_table([[x] for x in w[h:]], [])
         t = [0] * len(sums)
         for m in range(3, len(sums)):
             low = m & -m
@@ -385,10 +395,8 @@ def _slot_table(w, objective: str) -> tuple[list, list]:
             if sums[low] >= sums[g & (g - 1)]:
                 t[m] = t[g] + sums[m]
             else:
-                t[m] = _merge_cost_sorted(members[m])
+                t[m] = _merge_cost_sorted(light[m >> h] + heavy[m & cut])
         return t, sums
-    for x in w:
-        sums += [q + x for q in sums]
     if objective == "entropy":
         log2 = math.log2
         return [q * log2(q) if q else 0.0 for q in sums], sums
@@ -548,7 +556,7 @@ def _summary(last_two, score, t, sums, r, agg0, best0):
     return last_two(t, 0.0, low, rest, (), agg0, best0, splits), splits
 
 
-def _last_three_compression(t, sums, slack, low, r2, pre, agg, best, picks, summ):
+def _last_three_compression(t, sums, slack, low, r2, pre, agg, best, picks, summ, descend):
     # each split adds its own term to agg + t[b], so the summary's splits
     # are exactly the best ones under any prefix
     s = r2
@@ -570,7 +578,7 @@ def _last_three_compression(t, sums, slack, low, r2, pre, agg, best, picks, summ
         s = (s - 1) & r2
 
 
-def _last_three_product(t, sums, slack, low, r2, pre, agg, best, picks, summ):
+def _last_three_product(t, sums, slack, low, r2, pre, agg, best, picks, summ, descend):
     # agg * t[b] is 0 only when b is empty; then so is r, which has one split
     s = r2
     while True:
@@ -600,7 +608,7 @@ class _Settled(namedtuple("_Settled", "head rest slots")):
     __slots__ = ()
 
 
-def _last_three_min_max(t, sums, slack, low, r2, pre, agg, best, picks, summ):
+def _last_three_min_max(t, sums, slack, low, r2, pre, agg, best, picks, summ, descend):
     # with a = max(agg, t[b]) <= m every split scores max(a, its own max),
     # so the summary's splits are the best ones; above m, a split ties at a
     # whenever its own max is at most a. Over sums >= 0 no split's own max
@@ -633,8 +641,7 @@ def _last_three_min_max(t, sums, slack, low, r2, pre, agg, best, picks, summ):
                     picks.clear()
                 picks.append(_Settled(pre + (b,), r, 2))
             else:
-                low_r = r & -r
-                best = _last_two_min_max(t, slack, low_r, r ^ low_r, pre + (b,), a, best, picks)
+                best = descend(r, 2, pre + (b,), a, best)
         if not s:
             return best
         s = (s - 1) & r2
@@ -644,7 +651,7 @@ def _span(terms):
     return max(terms) - min(terms)
 
 
-def _last_three_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, summ):
+def _last_three_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, summ, descend):
     # the last two sums x <= y add up to t[r], so a split's score
     # max(hi, y) - min(lo, x), with hi and lo the extremes of agg and t[b],
     # does not fall as y - x grows and is least at the summary's y - x = m.
@@ -666,16 +673,13 @@ def _last_three_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, summ):
         y = (t[r] + m) >> 1
         x = t[r] - y
         if (y if y > hi else hi) - (x if x < lo else lo) <= best:
-            low_r = r & -r
-            best = _last_two_min_diff(
-                t, slack, low_r, r ^ low_r, pre + (b,), (hi, lo), best, picks
-            )
+            best = descend(r, 2, pre + (b,), (hi, lo), best)
         if not s:
             return best
         s = (s - 1) & r2
 
 
-def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ):
+def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ, descend):
     # m, the least t[a] + t[b] over r's splits, bounds the sums the scan
     # below compares, up to rounding far inside the slack; a choice past
     # the cut gets no scan, since the scan would keep nothing
@@ -688,8 +692,7 @@ def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ):
             m = summ[r] = _summary(_last_two_compression, math.fsum, t, sums, r, 0, math.inf)[0]
         a = agg + t[b]
         if a + m <= best + slack:
-            low_r = r & -r
-            best = _last_two_entropy(t, slack, low_r, r ^ low_r, pre + (b,), a, best, picks)
+            best = descend(r, 2, pre + (b,), a, best)
         if not s:
             return best
         s = (s - 1) & r2
@@ -704,17 +707,18 @@ def _last_three_entropy(t, sums, slack, low, r2, pre, agg, best, picks, summ):
 # objectives some block holds x, and one ceil(R / j) or more; with
 # x >= R / j the other j - 1 share R - x, else one holds floor(R / j) or less.
 # A placing level asks its bound only after its own-score test has passed
-# (product_of_sums has none), so no bound tests agg against best alone.
+# (product_of_sums has none), so no bound tests agg against best alone;
+# entropy's hands its bound the cut, best plus slack, as best.
 
 
-def _skip_compression(t, sums, slack, agg, r, j, best):
+def _skip_compression(t, sums, agg, r, j, best):
     # a balanced tree over the j blocks' Huffman trees puts each root at
     # depth ceil(log2(j)), so merging them into one tree for r costs at
     # most that many times R, and no tree for r costs less than t[r]
     return agg + t[r] - (j - 1).bit_length() * sums[r] > best
 
 
-def _skip_product_of_sums(t, sums, slack, agg, r, j, best):
+def _skip_product_of_sums(t, sums, agg, r, j, best):
     R = sums[r]
     x = sums[r & -r]
     if x * j > R:
@@ -726,11 +730,11 @@ def _skip_product_of_sums(t, sums, slack, agg, r, j, best):
     return agg * R**j < best * j**j
 
 
-def _skip_entropy(t, sums, slack, agg, r, j, best):
+def _skip_entropy(t, sums, agg, r, j, best):
     # q * log2(q) is convex, so the j terms add up to R * log2(R / j) or
     # more; with x > R / j, to x * log2(x) plus the other j - 1 blocks'
-    # least, which grows with the block holding x. The slack is the
-    # innermost level's, and covers the rounding on both sides
+    # least, which grows with the block holding x. best is the placing
+    # level's cut, whose slack covers the rounding on both sides
     R = sums[r]
     x = sums[r & -r]
     if x * j > R:
@@ -738,22 +742,22 @@ def _skip_entropy(t, sums, slack, agg, r, j, best):
         least = x * math.log2(x) + (rest * math.log2(rest / (j - 1)) if rest else 0.0)
     else:
         least = R * math.log2(R / j) if R else 0.0
-    return agg + least > best + slack
+    return agg + least > best
 
 
-def _skip_min_max(t, sums, slack, agg, r, j, best):
+def _skip_min_max(t, sums, agg, r, j, best):
     R = sums[r]
     x = sums[r & -r]
     return (x if x * j >= R else -(-R // j)) > best
 
 
-def _skip_max_min(t, sums, slack, agg, r, j, best):
+def _skip_max_min(t, sums, agg, r, j, best):
     R = sums[r]
     x = sums[r & -r]
     return -((R - x) // (j - 1) if x * j >= R else R // j) > best
 
 
-def _skip_min_diff(t, sums, slack, agg, r, j, best):
+def _skip_min_diff(t, sums, agg, r, j, best):
     hi, lo = agg
     R = sums[r]
     x = sums[r & -r]
@@ -775,7 +779,7 @@ def _place_compression(t, sums, slack, low, r2, pre, agg, best, picks, j, descen
     while True:
         b = low | s
         a = agg + t[b]
-        if a <= best and not _skip_compression(t, sums, slack, a, r2 ^ s, j, best):
+        if a <= best and not _skip_compression(t, sums, a, r2 ^ s, j, best):
             best = descend(r2 ^ s, j, pre + (b,), a, best)
         if not s:
             return best
@@ -788,7 +792,7 @@ def _place_product(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
     while True:
         b = low | s
         a = agg * t[b]
-        if not _skip_product_of_sums(t, sums, slack, a, r2 ^ s, j, best):
+        if not _skip_product_of_sums(t, sums, a, r2 ^ s, j, best):
             best = descend(r2 ^ s, j, pre + (b,), a, best)
         if not s:
             return best
@@ -797,12 +801,14 @@ def _place_product(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
 
 def _place_entropy(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
     # terms are >= 0, so adding the rest's never lowers a float sum
+    cut = best + slack
     s = r2
     while True:
         b = low | s
         a = agg + t[b]
-        if a <= best + slack and not _skip_entropy(t, sums, slack, a, r2 ^ s, j, best):
+        if a <= cut and not _skip_entropy(t, sums, a, r2 ^ s, j, cut):
             best = descend(r2 ^ s, j, pre + (b,), a, best)
+            cut = best + slack
         if not s:
             return best
         s = (s - 1) & r2
@@ -821,7 +827,7 @@ def _place_min_max(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
                     best = a
                     picks.clear()
                 picks.append(_Settled(pre + (b,), r, j))
-            elif not _skip_min_max(t, sums, slack, a, r, j, best):
+            elif not _skip_min_max(t, sums, a, r, j, best):
                 best = descend(r, j, pre + (b,), a, best)
         if not s:
             return best
@@ -834,7 +840,7 @@ def _place_max_min(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
     while True:
         b = low | s
         a = t[b] if t[b] > agg else agg
-        if a <= best and not _skip_max_min(t, sums, slack, a, r2 ^ s, j, best):
+        if a <= best and not _skip_max_min(t, sums, a, r2 ^ s, j, best):
             best = descend(r2 ^ s, j, pre + (b,), a, best)
         if not s:
             return best
@@ -849,7 +855,7 @@ def _place_min_diff(t, sums, slack, low, r2, pre, agg, best, picks, j, descend):
         q = t[b]
         hi = hi0 if hi0 > q else q
         lo = lo0 if lo0 < q else q
-        if hi - lo <= best and not _skip_min_diff(t, sums, slack, (hi, lo), r2 ^ s, j, best):
+        if hi - lo <= best and not _skip_min_diff(t, sums, (hi, lo), r2 ^ s, j, best):
             best = descend(r2 ^ s, j, pre + (b,), (hi, lo), best)
         if not s:
             return best
@@ -915,12 +921,13 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
     so no tie at a worse value is kept. descend hands a remainder and its
     slots to the objective's placing level, whose bound may skip it; at
     k >= 4 to the summary level of the module docstring with three slots
-    left; and to the innermost level with two. Returns (best, picks), with
-    picks the block-mask tuples of every optimum in sweep order, and under
-    min_max the _Settled groups that stand for many at once; the sweep
-    counts no partitions. Entropy's levels keep every partition within
-    _entropy_slack of the least sum of terms so far; its band is settled
-    here, once, on each kept partition's H from the fsum of its terms.
+    left; and to the innermost level with two. Every scan under a prefix
+    goes through descend, so _SWEEPS alone pairs the levels. Returns
+    (best, picks): picks holds every optimum's block masks in sweep order,
+    and under min_max the _Settled groups that stand for many at once; the
+    sweep counts no partitions. Entropy's levels keep every partition
+    within _entropy_slack of the least sum of terms so far; its band is
+    settled here, once, on each kept partition's H from its terms' fsum.
     """
     last_two, last_three, place, _, agg0 = _SWEEPS[objective]
     full = (1 << len(w)) - 1 if within is None else within
@@ -935,7 +942,7 @@ def _sweep(t, sums, w, k: int, objective: str, within: int | None = None):
         if slots == 2:
             return last_two(t, slack, low, rem ^ low, pre, agg, best, picks)
         if slots == 3 and summ is not None:
-            return last_three(t, sums, slack, low, rem ^ low, pre, agg, best, picks, summ)
+            return last_three(t, sums, slack, low, rem ^ low, pre, agg, best, picks, summ, descend)
         return place(t, sums, slack, low, rem ^ low, pre, agg, best, picks, slots - 1, descend)
 
     if k == 1:
@@ -1071,10 +1078,7 @@ def brute_force(inst: Instance, k: int, objective: str) -> OracleResult:
     # Of disjoint blocks, the one holding the lowest index has the largest
     # digits, so the k blocks' digits, ascending, take the canonical labels
     # k - 1, ..., 1, 0; unused slots have digits 0
-    digits = [0]
-    for e in order:
-        d = 1 << 3 * (n - 1 - e)
-        digits += [x + d for x in digits]
+    digits = _subset_table([1 << 3 * (n - 1 - e) for e in order], 0)
     labels = range(k - 1, -1, -1)
     keys = array("Q")
     for pick in picks:

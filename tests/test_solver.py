@@ -687,31 +687,29 @@ def test_oracle_results_do_not_depend_on_input_order(ws, k, rnd):
 
 
 def _summary_level_run(monkeypatch, inst, k, objective):
-    """Sweep one objective with its two lowest levels wrapped.
+    """Sweep one objective with its two lowest levels wrapped in _SWEEPS.
 
     Returns the number of choices of the third-to-last block, the prefixes
     (blocks up to that one) handed to a scan of the innermost level, and the
-    picks: the optima's block masks, and for min_max its settled groups. A
-    summary sweeps its remainder with no prefix, so it is not counted as a
-    scan.
+    picks: the optima's block masks, and for min_max its settled groups. At
+    k >= 4 only the summary level descends to the innermost one; a summary
+    calls its innermost level by name, so it is not counted as a scan.
     """
     last_two, last_three, *rest = solver._SWEEPS[objective]
     choices = 0
     scanned = []
 
     def two(t, slack, low, r2, pre, agg, best, picks):
-        if pre:
-            scanned.append(pre)
+        scanned.append(pre)
         return last_two(t, slack, low, r2, pre, agg, best, picks)
 
-    def three(t, sums, slack, low, r2, pre, agg, best, picks, summ):
+    def three(t, sums, slack, low, r2, *args):
         nonlocal choices
         choices += 1 << r2.bit_count()
-        return last_three(t, sums, slack, low, r2, pre, agg, best, picks, summ)
+        return last_three(t, sums, slack, low, r2, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(solver, last_two.__name__, two)
-        m.setitem(solver._SWEEPS, objective, (last_two, three, *rest))
+        m.setitem(solver._SWEEPS, objective, (two, three, *rest))
         w = sorted(inst.weights, reverse=True)
         _, picks = solver._sweep(*solver._slot_table(w, objective), w, k, objective)
     return choices, scanned, picks
@@ -893,6 +891,20 @@ def test_entropy_sweep_memory_stays_flat():
     assert peak < 4_000_000, peak
 
 
+def test_merge_cost_table_memory_stays_flat():
+    # the fill folds members from lists of each half of the positions, 2**7
+    # each at n = 14, not from one list per subset, which peaked at 2.2 MB
+    rng = random.Random("solver:merge-cost-memory")
+    w = sorted((rng.randint(1, 6) for _ in range(14)), reverse=True)
+    tracemalloc.start()
+    try:
+        solver._slot_table(w, "compression")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def _lemma2_cases():
     """Seeded instances for verify_lemma2's constrained sweep: ties from
     1..6, all-equal weights, log-uniform weights to 2**40, and n = k + 1,
@@ -965,8 +977,11 @@ def _bound_skips(objective, w, prefix, r, j):
     for b in prefix:
         agg = _FOLDS[objective](agg, t[b])
     best = _completion_best(objective, w, prefix, r, j)
+    if objective == "entropy":
+        # the entropy level hands its bound the cut, best plus the slack
+        best += solver._entropy_slack(sum(w))
     skip = getattr(solver, f"_skip_{objective}")
-    return skip(t, sums, solver._entropy_slack(sum(w)), agg, r, j, best)
+    return skip(t, sums, agg, r, j, best)
 
 
 def _completion_best(objective, w, prefix, r, j):
@@ -1051,13 +1066,12 @@ def test_sweeps_call_skip_with_two_slots_or_more(monkeypatch):
     failed = []
 
     def recorder(objective, skip):
-        def recorded(t, sums, slack, agg, r, j, best):
+        def recorded(t, sums, agg, r, j, best):
             slots.setdefault(objective, set()).add(j)
             own = agg[0] - agg[1] if objective == "min_diff" else agg
-            cut = best + slack if objective == "entropy" else best
-            if objective != "product_of_sums" and own > cut:
+            if objective != "product_of_sums" and own > best:
                 failed.append((objective, agg, best))
-            return skip(t, sums, slack, agg, r, j, best)
+            return skip(t, sums, agg, r, j, best)
 
         return recorded
 
