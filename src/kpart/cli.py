@@ -15,7 +15,7 @@ import random
 import sys
 from bisect import bisect_left
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 
 from .core import (
     MAX_ELEMENTS,
@@ -25,15 +25,15 @@ from .core import (
     SizeLimitError,
     conditional_dist,
     parse_instance,
-    subset_sums,
 )
 from .core import _int_text
 from .entropy import conditional_entropy, shannon_entropy
 from .huffman import build_huffman, expected_length_bits
-from .objectives import compression_cost, evaluate
+from .objectives import _report, compression_cost, evaluate
 from .solver import (
     MAX_ORACLE_N,
     OBJECTIVES,
+    _stopped_merge,
     brute_force,
     greedy_baseline,
     stopped_huffman,
@@ -75,7 +75,8 @@ def _print_json(inst, k, objective, part, rep, trace=None, res=None) -> None:
     compact json.dumps line. The small values are dumped first, as a skeleton
     with a hole for each array that grows with n; each array then fills its
     hole _CHUNK items per write, so none is built whole, and an error before
-    the first write leaves stdout empty."""
+    the first write leaves stdout empty. The instance and the trace's steps
+    are formatted one % call per chunk."""
     obj = {
         "instance": _HOLE,
         "k": k,
@@ -85,10 +86,13 @@ def _print_json(inst, k, objective, part, rep, trace=None, res=None) -> None:
         "report": rep.to_json_dict(),
     }
     labels = list(map(str, range(k)))  # a lookup costs a fifth of str()
-    arrays = [map(str, inst.weights), map(labels.__getitem__, part.assignment)]
+    arrays = [
+        _formatted(iter(inst.weights), "%d", 1),
+        _joined(map(labels.__getitem__, part.assignment)),
+    ]
     if trace is not None:
         obj["trace"] = {"steps": _HOLE, "final_list": trace.final_list}
-        arrays.append(map("[%d,%d,%d]".__mod__, trace.iter_steps()))
+        arrays.append(_formatted(chain.from_iterable(trace.iter_steps()), "[%d,%d,%d]", 3))
     if res is not None:
         opt = res.optimal_partitions
         obj["oracle"] = {
@@ -97,35 +101,64 @@ def _print_json(inst, k, objective, part, rep, trace=None, res=None) -> None:
             "partitions_searched": res.partitions_searched,
             "optimal_assignments": _HOLE,
         }
-        arrays.append(map("[%s]".__mod__, map(",".join, opt.digits())))
+        arrays.append(_joined(map("[%s]".__mod__, map(",".join, opt.digits()))))
     texts = _dumps(obj).split(_dumps(_HOLE))
     write = sys.stdout.write
     write(texts[0])
-    for items, text in zip(arrays, texts[1:]):
+    for chunks, text in zip(arrays, texts[1:]):
         write("[")
         sep = ""
-        while chunk := ",".join(islice(items, _CHUNK)):
+        for chunk in chunks:
             write(sep + chunk)
             sep = ","
         write("]" + text)
     write("\n")
 
 
-def _print_groups(inst, part, sums) -> None:
-    """One line per label: member weights, or only their count past the cap."""
-    counts = Counter(part.assignment)
-    shown = {lbl: [] for lbl in range(part.k) if counts[lbl] <= _GROUP_DISPLAY_CAP}
+def _joined(items):
+    """Iterator of the items' texts, comma-joined _CHUNK at a time; the
+    first empty join ends it."""
+    return iter(lambda: ",".join(islice(items, _CHUNK)), "")
+
+
+def _formatted(flat, cell: str, width: int):
+    """Iterator of up to _CHUNK cells at a time, comma-joined, each cell
+    formatting the next width ints of flat, by one % call per chunk."""
+    full = ",".join([cell] * _CHUNK)
+    while chunk := tuple(islice(flat, _CHUNK * width)):
+        c = len(chunk) // width
+        yield (full if c == _CHUNK else ",".join([cell] * c)) % chunk
+
+
+def _print_groups(inst, sums, sizes, part) -> None:
+    """One line per label: member weights, or only their count past the cap.
+
+    part gives the members; it is read only when some label has
+    _GROUP_DISPLAY_CAP members or fewer, and may be None when none has."""
+    shown = {lbl: [] for lbl, size in enumerate(sizes) if size <= _GROUP_DISPLAY_CAP}
     if shown:
         for w, lbl in zip(inst.weights, part.assignment):
             members = shown.get(lbl)
             if members is not None:
                 members.append(str(w))
-    for lbl in range(part.k):
+    for lbl, (size, total) in enumerate(zip(sizes, sums)):
         members = shown.get(lbl)
         if members is None:
-            print(f"group {lbl}: {counts[lbl]} elements (sum {sums[lbl]})")
+            print(f"group {lbl}: {size} elements (sum {total})")
         else:
-            print(f"group {lbl}: {' '.join(members)} (sum {sums[lbl]})")
+            print(f"group {lbl}: {' '.join(members)} (sum {total})")
+
+
+def _listed(forest):
+    """The forest's partition if some group is small enough to list its
+    members, else None: human output reads each group off the forest."""
+    return forest.partition() if forest.smallest() <= _GROUP_DISPLAY_CAP else None
+
+
+def _sizes(part) -> list[int]:
+    """Member count of each label of part."""
+    counts = Counter(part.assignment)
+    return list(map(counts.__getitem__, range(part.k)))
 
 
 def _print_report(inst, rep) -> None:
@@ -155,7 +188,7 @@ def _instance_header(inst, k, objective, method) -> str:
 def _cmd_solve(args) -> int:
     inst = _load_instance(args)
     k = args.k
-    trace = None
+    forest = trace = None
     if args.oracle:
         res = brute_force(inst, k, args.objective)
         part = res.optimal_partitions[0]
@@ -164,19 +197,26 @@ def _cmd_solve(args) -> int:
         part = greedy_baseline(inst, k)
         method = "greedy"
     elif args.objective == "compression":
-        part, trace = stopped_huffman(inst, k)
+        forest = _stopped_merge(inst, k)
+        trace = forest.trace
         method = "stopped-huffman"
     else:
         raise InputError(
             f"objective {args.objective!r} has no direct solver; add --oracle or --greedy"
         )
-    # the merge already summed the stopped-Huffman partition's cost
-    rep = evaluate(inst, part, None if trace is None else trace.cost)
+    if forest is None:
+        rep = evaluate(inst, part)
+    else:
+        # built first where needed, so that the sums reuse its labels
+        part = forest.partition() if args.json else _listed(forest)
+        # the merge already summed each group and the partition's cost
+        rep = _report(forest.sums(), inst.total, trace.cost)
     if args.json:
         _print_json(inst, k, args.objective, part, rep, trace)
         return 0
     print(_instance_header(inst, k, args.objective, method))
-    _print_groups(inst, part, rep.subset_sums)
+    sizes = _sizes(part) if forest is None else forest.sizes()
+    _print_groups(inst, rep.subset_sums, sizes, part)
     _print_report(inst, rep)
     return 0
 
@@ -208,11 +248,12 @@ def _cmd_trace(args) -> int:
         # compression defaults
         return _cmd_solve(args)
     inst = _load_instance(args)
-    part, trace = stopped_huffman(inst, args.k)
-    for line in _render_merge_lists(inst, trace):
+    forest = _stopped_merge(inst, args.k)
+    for line in _render_merge_lists(inst, forest.trace):
         print(line)
     print("final groups:")
-    _print_groups(inst, part, subset_sums(inst, part).sums)
+    part = _listed(forest)  # first, so that the sums reuse its labels
+    _print_groups(inst, forest.sums(), forest.sizes(), part)
     return 0
 
 
@@ -232,7 +273,7 @@ def _cmd_oracle(args) -> int:
         f"best value {res.best_value} over {res.partitions_searched} partitions; "
         f"{len(res.optimal_partitions)} optimal"
     )
-    _print_groups(inst, part, rep.subset_sums)
+    _print_groups(inst, rep.subset_sums, _sizes(part), part)
     _print_report(inst, rep)
     shown = res.optimal_partitions[:10]
     print("optimal assignments:")

@@ -71,21 +71,27 @@ def evaluate(inst: Instance, p: Partition, cost: int | None = None) -> Objective
     that is not an int, or is a bool, raises InputError.
     """
     sums = subset_sums(inst, p).sums
-    lo = min(sums)
-    hi = max(sums)
-    prod = math.prod(sums)
     if cost is None:
         cost = compression_cost(inst, p)
     _check_int("cost", cost)
+    return _report(sums, inst.total, cost)
+
+
+def _report(sums: tuple[int, ...], total: int, cost: int) -> ObjectiveReport:
+    """Every objective from the per-label sums, their total and the
+    compression numerator, none of which it checks."""
+    lo = min(sums)
+    hi = max(sums)
+    prod = math.prod(sums)
     return ObjectiveReport(
         min_diff=hi - lo,
         min_max=hi,
         max_min=lo,
-        entropy_bits=_entropy_bits(sums, inst.total),
-        min_entropy_bits=_min_entropy_bits(hi, inst.total),
+        entropy_bits=_entropy_bits(sums, total),
+        min_entropy_bits=_min_entropy_bits(hi, total),
         product_of_sums=prod,
         product_overflow=prod > INT64_MAX,
         compression_numerator=cost,
-        compression_bits=cost / inst.total,
+        compression_bits=cost / total,
         subset_sums=sums,
     )

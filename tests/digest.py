@@ -15,7 +15,9 @@ It covers:
 - verify_lemma2 on each of those instances with n > k;
 - verify_principle_of_optimality, with trials None and 3, on each with n <= 8;
 - stopped_huffman's partition, trace cost and final list at n = 2**10 to
-  2**12 and k in {1, 2, 16, 256}, on log-uniform weights and weights 1-6;
+  2**12 and k in {1, 2, 16, 256}, on log-uniform weights and weights 1-6,
+  and the stdout of ``kpart solve``, ``kpart solve --json`` and
+  ``kpart trace --json`` on each of those instances and k;
 - the stdout of ``kpart verify --seed 0 --json``.
 """
 
@@ -86,10 +88,18 @@ def records():
             for k in (1, 2, 16, 256):
                 part, trace = stopped_huffman(inst, k)
                 yield n, shape, k, part.assignment, trace.cost, trace.final_list
+                listed = ",".join(map(str, inst.weights))
+                for argv in (["solve"], ["solve", "--json"], ["trace", "--json"]):
+                    yield stdout([*argv, "-k", str(k), "--list", listed])
+    yield stdout(["verify", "--seed", "0", "--json"])
+
+
+def stdout(argv):
+    """The exit code and stdout of one kpart command, run in this process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify", "--seed", "0", "--json"])
-    yield code, out.getvalue()
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def digest():

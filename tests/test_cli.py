@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from bisect import bisect_left
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,9 @@ from kpart import (
     greedy_baseline,
     parse_instance,
     stopped_huffman,
+    subset_sums,
 )
-from kpart import cli
+from kpart import cli, solver
 from kpart.cli import _render_merge_lists, main
 
 WORKED = "1,1,2,3,4,5"
@@ -116,6 +118,48 @@ def test_group_lines_past_the_display_cap(capsys):
         assert groups == [line, "group 1: 1000 (sum 1000)", "group 2: 2000 (sum 2000)"]
     _, out, _ = run(capsys, "solve", "-k", "4", "--list", "1 2 3", "--greedy")
     assert "group 3:  (sum 0)" in out.splitlines()
+
+
+def _reference_group_lines(ws, k):
+    """solve's group lines, regrouped from stopped_huffman's partition."""
+    inst = Instance(tuple(ws))
+    part, _ = stopped_huffman(inst, k)
+    sums = subset_sums(inst, part).sums
+    counts = Counter(part.assignment)
+    lines = []
+    for g in range(k):
+        if counts[g] > 40:
+            lines.append(f"group {g}: {counts[g]} elements (sum {sums[g]})")
+        else:
+            members = " ".join(str(w) for w, a in zip(ws, part.assignment) if a == g)
+            lines.append(f"group {g}: {members} (sum {sums[g]})")
+    return lines
+
+
+@pytest.mark.parametrize("max_runs", [solver._MAX_LABEL_RUNS, 1], ids=["bisect", "argsort"])
+def test_human_solve_labels_every_element_only_to_list_members(monkeypatch, capsys, max_runs):
+    # four groups of about 500 print their counts, read off the merge forest;
+    # a last weight past the sum of the rest is a group of one, and only
+    # then is every element labeled, to list it
+    monkeypatch.setattr(solver, "_MAX_LABEL_RUNS", max_runs)
+    rng = random.Random("cli:listed")
+    ws = [rng.randint(1, 6) for _ in range(2000)]
+    cases = [(ws, 4, False), (ws + [sum(ws) + 1], 4, True)]
+    want = [_reference_group_lines(weights, k) for weights, k, _ in cases]
+    lengths, built = [], []
+    runs, partition = solver._runs_in_input_order, solver._Forest.partition
+    monkeypatch.setattr(
+        solver, "_runs_in_input_order", lambda ws, *a: lengths.append(len(ws)) or runs(ws, *a)
+    )
+    monkeypatch.setattr(solver._Forest, "partition", lambda f: built.append(f) or partition(f))
+    for (weights, k, listed), lines in zip(cases, want):
+        lengths.clear()
+        built.clear()
+        _, out, _ = run(capsys, "solve", "-k", str(k), "--list", ",".join(map(str, weights)))
+        assert [ln for ln in out.splitlines() if ln.startswith("group ")] == lines
+        assert len(built) == listed
+        if not listed:
+            assert lengths and max(lengths) < len(weights)
 
 
 def _python(*argv, check=True):
@@ -580,13 +624,14 @@ STREAMED = [
 
 @pytest.mark.parametrize("command, mode, objective", STREAMED, ids=lambda v: str(v))
 @pytest.mark.parametrize("n", [TEST_CHUNK - 1, TEST_CHUNK, TEST_CHUNK + 1, 2 * TEST_CHUNK + 1])
-@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_streamed_json_equals_one_json_dumps(
     monkeypatch, capsys, command, mode, objective, n, k
 ):
     # weights at both ends of the range: at k = 2 and 3 the product of the
     # sums passes 2^63; a run of equal weights gives the oracle ties, so
-    # its optima cross chunk boundaries too
+    # its optima cross chunk boundaries too. At k = 4 and n = TEST_CHUNK + 1
+    # or 2 * TEST_CHUNK + 1 the last chunk holds one weight and one step
     monkeypatch.setattr(cli, "_CHUNK", TEST_CHUNK)
     rng = random.Random(f"cli:stream:{n}:{k}")
     ws = [rng.choice((1, 2, 3, MAX_WEIGHT - 1, MAX_WEIGHT)) for _ in range(n)]
@@ -598,6 +643,20 @@ def test_streamed_json_equals_one_json_dumps(
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == _reference_json(command, mode, objective, ws, k)
+
+
+@pytest.mark.parametrize("command", ["solve", "trace"])
+@pytest.mark.parametrize("n", [TEST_CHUNK + 1, 2 * TEST_CHUNK + 1, 5 * TEST_CHUNK + 1])
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_streamed_json_on_the_argsort_route(monkeypatch, capsys, command, n, k):
+    # every label run past the first sends the labels down the argsort route
+    monkeypatch.setattr(cli, "_CHUNK", TEST_CHUNK)
+    monkeypatch.setattr(solver, "_MAX_LABEL_RUNS", 1)
+    rng = random.Random(f"cli:stream-argsort:{n}:{k}")
+    ws = [rng.choice((1, 2, 3, MAX_WEIGHT - 1, MAX_WEIGHT)) for _ in range(n)]
+    code, out, err = run(capsys, command, "-k", str(k), "--list", ",".join(map(str, ws)), "--json")
+    assert (code, err) == (0, "")
+    assert out == _reference_json(command, None, "compression", ws, k)
 
 
 def test_streamed_json_pins_its_edge_cases(monkeypatch, capsys):

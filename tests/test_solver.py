@@ -5,7 +5,7 @@ import math
 import operator
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from itertools import chain
 
 import pytest
@@ -298,6 +298,45 @@ def test_n_up_to_k_on_the_argsort_route_matches_the_reference():
             _, trace = stopped_huffman(Instance(ws), k)
             assert trace.cost == 0
             assert trace.final_list == tuple(sorted(ws))
+
+
+def _forest_cases():
+    """Seeded (weights, k): log-uniform and 1-6 weights with n <= 2**12 at
+    k in {1, 2, 3, 16, 256}, n <= k, and groups first met at the last element."""
+    rng = random.Random("solver:forest")
+    cases = []
+    for n in (1, 2, 5, 17, 300, 1 << 10, 1 << 12):
+        for shape in range(2):
+            ws = [
+                min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))) if shape == 0
+                else rng.randint(1, 6)
+                for _ in range(n)
+            ]
+            cases += [(ws, k) for k in (1, 2, 3, 16, 256)]
+            cases.append((ws, n + rng.randint(0, 3)))
+    # a last weight past the sum of the rest is never merged: its group's
+    # first member is the last element, so the prefix must reach n
+    for n, k in ((40, 2), (300, 16), (1 << 12, 3)):
+        ws = [rng.randint(1, 6) for _ in range(n - 1)]
+        cases.append((ws + [sum(ws) + 1], k))
+    return cases
+
+
+@pytest.mark.parametrize("max_runs", [solver._MAX_LABEL_RUNS, 1], ids=["bisect", "argsort"])
+def test_forest_groups_equal_the_partitions(monkeypatch, max_runs):
+    # sums, sizes and canonical order, read off the merge forest without a
+    # label per element, equal subset_sums and the counts of the partition
+    monkeypatch.setattr(solver, "_MAX_LABEL_RUNS", max_runs)
+    for ws, k in _forest_cases():
+        inst = Instance(tuple(ws))
+        part, _ = stopped_huffman(inst, k)
+        counts = Counter(part.assignment)
+        sizes = tuple(counts[g] for g in range(k))
+        forest = solver._stopped_merge(inst, k)
+        assert forest.smallest() == min(sizes), (len(ws), k)
+        assert forest.sums() == subset_sums(inst, part).sums, (len(ws), k)
+        assert forest.sizes() == sizes, (len(ws), k)
+        assert forest.partition() == part
 
 
 @settings(max_examples=60)
