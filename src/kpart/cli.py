@@ -28,18 +28,12 @@ from .core import (
 )
 from .core import _int_text
 from .entropy import conditional_entropy, shannon_entropy
-from .huffman import build_huffman, expected_length_bits
-from .objectives import _report, compression_cost, evaluate
-from .solver import (
-    MAX_ORACLE_N,
-    OBJECTIVES,
-    _stopped_merge,
-    brute_force,
-    greedy_baseline,
-    stopped_huffman,
-    verify_lemma2,
-    verify_principle_of_optimality,
-)
+from .huffman import _stopped_merge, build_huffman, expected_length_bits, stopped_huffman
+from .objectives import OBJECTIVES, _report, compression_cost, evaluate
+
+# The oracle's names (brute_force, greedy_baseline, the verify harnesses)
+# are imported from the package inside the commands that call them, so
+# that solve and trace never load kpart.solver.
 
 _GROUP_DISPLAY_CAP = 40
 _BENCH_RUNS = 3
@@ -190,10 +184,14 @@ def _cmd_solve(args) -> int:
     k = args.k
     forest = trace = None
     if args.oracle:
+        from . import brute_force
+
         res = brute_force(inst, k, args.objective)
         part = res.optimal_partitions[0]
         method = "oracle"
     elif args.greedy:
+        from . import greedy_baseline
+
         part = greedy_baseline(inst, k)
         method = "greedy"
     elif args.objective == "compression":
@@ -261,6 +259,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import brute_force
+
     inst = _load_instance(args)
     res = brute_force(inst, args.k, args.objective)
     part = res.optimal_partitions[0]
@@ -315,11 +315,15 @@ def _tally(name: str, results) -> dict:
 
 def _suite_lemma2(cases) -> dict:
     """Co-grouping lemma on each (instance, k) case, n > k."""
+    from . import verify_lemma2
+
     return _tally("lemma2", ((1, not verify_lemma2(inst, k).ok) for inst, k in cases))
 
 
 def _suite_theorem1(cases) -> dict:
     """Recombinations of entropic optima, per (instance, k, trials cap) case."""
+    from . import verify_principle_of_optimality
+
     reps = (verify_principle_of_optimality(inst, k, t) for inst, k, t in cases)
     return _tally("theorem1", ((r.recombinations_checked, r.violations) for r in reps))
 
@@ -351,6 +355,8 @@ def _suite_sandwich(cases) -> dict:
 
 def _suite_oracle_equivalence(cases) -> dict:
     """Each (instance, stopped-Huffman partition) case costs the oracle's minimum."""
+    from . import brute_force
+
     costs = (
         (compression_cost(inst, p), brute_force(inst, p.k, "compression").best_value)
         for inst, p in cases
@@ -359,6 +365,8 @@ def _suite_oracle_equivalence(cases) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from . import MAX_ORACLE_N, greedy_baseline
+
     seed = 0 if args.seed is None else args.seed
     trials = args.trials
     max_n = args.max_n

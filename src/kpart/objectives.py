@@ -18,6 +18,16 @@ from .huffman import _merge_cost_sorted
 
 INT64_MAX = (1 << 63) - 1
 
+OBJECTIVES = (
+    "min_diff",
+    "min_max",
+    "max_min",
+    "entropy",
+    "min_entropy",
+    "product_of_sums",
+    "compression",
+)
+
 
 @dataclass(frozen=True)
 class ObjectiveReport:

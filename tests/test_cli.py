@@ -27,7 +27,7 @@ from kpart import (
     stopped_huffman,
     subset_sums,
 )
-from kpart import cli, solver
+from kpart import cli, huffman
 from kpart.cli import _render_merge_lists, main
 
 WORKED = "1,1,2,3,4,5"
@@ -136,22 +136,22 @@ def _reference_group_lines(ws, k):
     return lines
 
 
-@pytest.mark.parametrize("max_runs", [solver._MAX_LABEL_RUNS, 1], ids=["bisect", "argsort"])
+@pytest.mark.parametrize("max_runs", [huffman._MAX_LABEL_RUNS, 1], ids=["bisect", "argsort"])
 def test_human_solve_labels_every_element_only_to_list_members(monkeypatch, capsys, max_runs):
     # four groups of about 500 print their counts, read off the merge forest;
     # a last weight past the sum of the rest is a group of one, and only
     # then is every element labeled, to list it
-    monkeypatch.setattr(solver, "_MAX_LABEL_RUNS", max_runs)
+    monkeypatch.setattr(huffman, "_MAX_LABEL_RUNS", max_runs)
     rng = random.Random("cli:listed")
     ws = [rng.randint(1, 6) for _ in range(2000)]
     cases = [(ws, 4, False), (ws + [sum(ws) + 1], 4, True)]
     want = [_reference_group_lines(weights, k) for weights, k, _ in cases]
     lengths, built = [], []
-    runs, partition = solver._runs_in_input_order, solver._Forest.partition
+    runs, partition = huffman._runs_in_input_order, huffman._Forest.partition
     monkeypatch.setattr(
-        solver, "_runs_in_input_order", lambda ws, *a: lengths.append(len(ws)) or runs(ws, *a)
+        huffman, "_runs_in_input_order", lambda ws, *a: lengths.append(len(ws)) or runs(ws, *a)
     )
-    monkeypatch.setattr(solver._Forest, "partition", lambda f: built.append(f) or partition(f))
+    monkeypatch.setattr(huffman._Forest, "partition", lambda f: built.append(f) or partition(f))
     for (weights, k, listed), lines in zip(cases, want):
         lengths.clear()
         built.clear()
@@ -182,6 +182,87 @@ def test_module_entry_point_exits_as_main_returns(capsys, argv):
 def test_importing_the_library_leaves_the_cli_unloaded():
     out = _python("-c", "import sys, kpart; print('kpart.cli' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+# a fresh interpreter runs each argv of its first argument through main and
+# reports, after each step, whether kpart.solver is loaded
+_LOADS_SOLVER = """
+import contextlib, io, json, sys
+import kpart
+seen = {"import kpart": "kpart.solver" in sys.modules}
+from kpart.cli import main
+seen["import kpart.cli"] = "kpart.solver" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[" ".join(argv)] = [code, "kpart.solver" in sys.modules]
+seen["bound"] = sorted(
+    name
+    for name in ("brute_force", "verify_lemma2", "verify_principle_of_optimality")
+    if name in vars(kpart)
+)
+print(json.dumps(seen))
+"""
+
+
+def _solver_loads(*argvs):
+    return json.loads(_python("-c", _LOADS_SOLVER, json.dumps(argvs)).stdout)
+
+
+def test_solve_trace_and_bench_never_load_the_oracle():
+    argvs = [
+        [command, "-k", "2", "--list", WORKED, *json_flag]
+        for command in ("solve", "trace")
+        for json_flag in ((), ("--json",))
+    ]
+    argvs.append(["bench", "--max-n", "1024"])
+    seen = _solver_loads(*argvs)
+    assert seen.pop("bound") == []
+    assert seen == {
+        "import kpart": False,
+        "import kpart.cli": False,
+        **{" ".join(argv): [0, False] for argv in argvs},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "-k", "2", "--list", WORKED],
+        ["verify", "--trials", "2", "--max-n", "5"],
+        ["solve", "-k", "2", "--list", WORKED, "--oracle"],
+        ["solve", "-k", "2", "--list", WORKED, "--greedy"],
+    ],
+    ids=["oracle", "verify", "solve-oracle", "solve-greedy"],
+)
+def test_oracle_commands_load_the_oracle_and_bind_its_names(argv):
+    seen = _solver_loads(argv)
+    assert seen == {
+        "import kpart": False,
+        "import kpart.cli": False,
+        " ".join(argv): [0, True],
+        "bound": ["brute_force", "verify_lemma2", "verify_principle_of_optimality"],
+    }
+
+
+def test_package_names_resolve_before_the_oracle_is_loaded():
+    script = """
+import json, sys
+import kpart
+out = {
+    "loaded": "kpart.solver" in sys.modules,
+    "unlisted": sorted(set(kpart.__all__) - set(dir(kpart))),
+}
+out["unresolved"] = [name for name in kpart.__all__ if not hasattr(kpart, name)]
+out["same"] = kpart.solver.brute_force is kpart.brute_force
+try:
+    kpart.no_such_name
+except AttributeError:
+    out["missing"] = True
+print(json.dumps(out))
+"""
+    out = json.loads(_python("-c", script).stdout)
+    assert out == {"loaded": False, "unlisted": [], "unresolved": [], "same": True, "missing": True}
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -651,7 +732,7 @@ def test_streamed_json_equals_one_json_dumps(
 def test_streamed_json_on_the_argsort_route(monkeypatch, capsys, command, n, k):
     # every label run past the first sends the labels down the argsort route
     monkeypatch.setattr(cli, "_CHUNK", TEST_CHUNK)
-    monkeypatch.setattr(solver, "_MAX_LABEL_RUNS", 1)
+    monkeypatch.setattr(huffman, "_MAX_LABEL_RUNS", 1)
     rng = random.Random(f"cli:stream-argsort:{n}:{k}")
     ws = [rng.choice((1, 2, 3, MAX_WEIGHT - 1, MAX_WEIGHT)) for _ in range(n)]
     code, out, err = run(capsys, command, "-k", str(k), "--list", ",".join(map(str, ws)), "--json")
@@ -837,7 +918,7 @@ def test_verify_single_instance_mode(capsys):
 
 def test_verify_reports_violations_with_exit_one(monkeypatch, capsys):
     monkeypatch.setattr(
-        "kpart.cli.verify_lemma2", lambda inst, k: Lemma2Report(3, 4, 10)
+        "kpart.verify_lemma2", lambda inst, k: Lemma2Report(3, 4, 10)
     )
     code, out, _ = run(capsys, "verify", "--trials", "2", "--max-n", "5")
     assert code == 1

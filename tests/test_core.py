@@ -597,6 +597,10 @@ def test_entry_points_reject_an_argument_that_is_not_an_int(name, bad):
 
 
 def test_all_names_every_public_binding():
+    # kpart binds kpart.solver's names when it first loads that module, so
+    # resolve every exported name first: the test then holds in any order
+    for name in kpart.__all__:
+        getattr(kpart, name)
     bound = {
         name
         for name, value in vars(kpart).items()

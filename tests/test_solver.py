@@ -38,7 +38,7 @@ from kpart import (
     verify_lemma2,
     verify_principle_of_optimality,
 )
-from kpart import solver
+from kpart import huffman, solver
 from kpart.huffman import _merge_cost_sorted
 
 small_instances = st.lists(st.integers(1, 50), min_size=1, max_size=12).map(
@@ -260,18 +260,18 @@ def _tie_heavy_cases():
     return cases
 
 
-@pytest.mark.parametrize("max_runs", [solver._MAX_LABEL_RUNS, 1])
+@pytest.mark.parametrize("max_runs", [huffman._MAX_LABEL_RUNS, 1])
 def test_label_routes_match_argsort_reference(monkeypatch, max_runs):
     # max_runs = 1 sends every instance with more than one run down the
     # argsort route; the default sends all of these small ones by bisect
-    monkeypatch.setattr(solver, "_MAX_LABEL_RUNS", max_runs)
+    monkeypatch.setattr(huffman, "_MAX_LABEL_RUNS", max_runs)
     for ws, k in _tie_heavy_cases():
         _check_against_reference(ws, k)
 
 
 def test_label_routes_match_argsort_reference_either_side_of_threshold():
     rng = random.Random("solver:label-threshold")
-    n = solver._MAX_LABEL_RUNS + 4000
+    n = huffman._MAX_LABEL_RUNS + 4000
     pool = [rng.randint(1, 1 << 20) for _ in range(40)]
     ws = tuple(
         rng.choice(pool) if rng.random() < 0.2 else rng.randint(1, 1 << 30)
@@ -281,7 +281,7 @@ def test_label_routes_match_argsort_reference_either_side_of_threshold():
     for k, route_runs in ((16, True), (n - 500, False)):
         part = _check_against_reference(ws, k)
         runs = _label_runs(ws, part.assignment)
-        assert (runs <= solver._MAX_LABEL_RUNS) == route_runs, runs
+        assert (runs <= huffman._MAX_LABEL_RUNS) == route_runs, runs
 
 
 def test_n_up_to_k_on_the_argsort_route_matches_the_reference():
@@ -289,7 +289,7 @@ def test_n_up_to_k_on_the_argsort_route_matches_the_reference():
     # least _MAX_LABEL_RUNS; every element is its own group, with no merges
     rng = random.Random("solver:n-up-to-k")
     n = 20_000
-    assert n - 1 >= solver._MAX_LABEL_RUNS
+    assert n - 1 >= huffman._MAX_LABEL_RUNS
     distinct = tuple(rng.sample(range(1, 1 << 40), n))
     for ws in ((rng.randint(1, 1 << 40),) * n, distinct):
         for k in (n, n + 5):
@@ -322,17 +322,17 @@ def _forest_cases():
     return cases
 
 
-@pytest.mark.parametrize("max_runs", [solver._MAX_LABEL_RUNS, 1], ids=["bisect", "argsort"])
+@pytest.mark.parametrize("max_runs", [huffman._MAX_LABEL_RUNS, 1], ids=["bisect", "argsort"])
 def test_forest_groups_equal_the_partitions(monkeypatch, max_runs):
     # sums, sizes and canonical order, read off the merge forest without a
     # label per element, equal subset_sums and the counts of the partition
-    monkeypatch.setattr(solver, "_MAX_LABEL_RUNS", max_runs)
+    monkeypatch.setattr(huffman, "_MAX_LABEL_RUNS", max_runs)
     for ws, k in _forest_cases():
         inst = Instance(tuple(ws))
         part, _ = stopped_huffman(inst, k)
         counts = Counter(part.assignment)
         sizes = tuple(counts[g] for g in range(k))
-        forest = solver._stopped_merge(inst, k)
+        forest = huffman._stopped_merge(inst, k)
         assert forest.smallest() == min(sizes), (len(ws), k)
         assert forest.sums() == subset_sums(inst, part).sums, (len(ws), k)
         assert forest.sizes() == sizes, (len(ws), k)
