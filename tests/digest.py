@@ -15,9 +15,10 @@ It covers:
 - verify_lemma2 on each of those instances with n > k;
 - verify_principle_of_optimality, with trials None and 3, on each with n <= 8;
 - stopped_huffman's partition, trace cost and final list at n = 2**10 to
-  2**12 and k in {1, 2, 16, 256}, on log-uniform weights and weights 1-6,
-  and the stdout of ``kpart solve``, ``kpart solve --json`` and
-  ``kpart trace --json`` on each of those instances and k;
+  2**12 and k in {1, 2, 16, 256, n // 2}, on log-uniform weights, weights
+  1-6 and uniform weights from [1, 2**30], and the stdout of
+  ``kpart solve``, ``kpart solve --json`` and ``kpart trace --json`` on
+  each of those instances and k, with their exit codes and stderr;
 - the stdout of ``kpart verify --seed 0 --json``.
 """
 
@@ -51,7 +52,9 @@ def weights(rng, n, shape):
         return [log_uniform(rng) for _ in range(n)]
     if shape == 1:
         return [rng.randint(1, 6) for _ in range(n)]
-    return [MAX_WEIGHT - rng.randint(0, 12) for _ in range(n)]
+    if shape == 2:
+        return [MAX_WEIGHT - rng.randint(0, 12) for _ in range(n)]
+    return [rng.randint(1, 1 << 30) for _ in range(n)]
 
 
 def oracle_cases():
@@ -83,9 +86,9 @@ def records():
                 yield "theorem1", trials, verify_principle_of_optimality(inst, k, trials)
     rng = random.Random("digest:huffman")
     for n in (1 << 10, 1 << 11, 1 << 12):
-        for shape in (0, 1):
+        for shape in (0, 1, 3):
             inst = Instance(tuple(weights(rng, n, shape)))
-            for k in (1, 2, 16, 256):
+            for k in (1, 2, 16, 256, n // 2):
                 part, trace = stopped_huffman(inst, k)
                 yield n, shape, k, part.assignment, trace.cost, trace.final_list
                 listed = ",".join(map(str, inst.weights))
@@ -95,11 +98,13 @@ def records():
 
 
 def stdout(argv):
-    """The exit code and stdout of one kpart command, run in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """The exit code, stdout and stderr of one kpart command, run in this
+    process. At k = n // 2, ``solve --json`` on uniform weights exits 2 on
+    a product of sums past Python's 4,300-digit limit (ROADMAP item 10)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def digest():

@@ -260,13 +260,133 @@ def _tie_heavy_cases():
     return cases
 
 
+def _route(monkeypatch, route):
+    """Send _stopped_merge down one route: "batched" (batches and label
+    runs) or "loop" (_merge's loop and child columns)."""
+    per_group = 0 if route == "batched" else MAX_ELEMENTS
+    monkeypatch.setattr(huffman, "_MIN_WEIGHTS_PER_GROUP", per_group)
+
+
 @pytest.mark.parametrize("max_runs", [huffman._MAX_LABEL_RUNS, 1])
 def test_label_routes_match_argsort_reference(monkeypatch, max_runs):
-    # max_runs = 1 sends every instance with more than one run down the
-    # argsort route; the default sends all of these small ones by bisect
+    # on the batched route, max_runs = 1 sends every instance with more than
+    # one run down the argsort route; the default sends all of these small
+    # ones by bisect
+    _route(monkeypatch, "batched")
     monkeypatch.setattr(huffman, "_MAX_LABEL_RUNS", max_runs)
     for ws, k in _tie_heavy_cases():
         _check_against_reference(ws, k)
+
+
+@pytest.mark.parametrize("max_runs", [huffman._MAX_LABEL_RUNS, 1])
+def test_loop_route_matches_argsort_reference(monkeypatch, max_runs):
+    # on the loop route, max_runs = 1 keeps each leaf as its own run and
+    # sends every instance with more than one run down the argsort route
+    _route(monkeypatch, "loop")
+    monkeypatch.setattr(huffman, "_MAX_LABEL_RUNS", max_runs)
+    for ws, k in _tie_heavy_cases():
+        _check_against_reference(ws, k)
+
+
+def test_default_route_follows_weights_per_group(monkeypatch):
+    # only more than _MIN_WEIGHTS_PER_GROUP weights per group merge in batches
+    rng = random.Random("solver:default-route")
+    ws = tuple(rng.randint(1, 1 << 30) for _ in range(1 << 12))
+    per_group = huffman._MIN_WEIGHTS_PER_GROUP
+    batched_merge, calls = huffman._batched_merge, []
+    monkeypatch.setattr(
+        huffman, "_batched_merge", lambda *a: calls.append(a) or batched_merge(*a)
+    )
+    for k, batched in ((1, True), (len(ws) // per_group - 1, True), (len(ws) // per_group, False)):
+        calls.clear()
+        part = _check_against_reference(ws, k)
+        assert len(calls) == batched, k
+        calls.clear()
+        assert huffman._stopped_merge(Instance(ws), k).partition() == part
+        assert len(calls) == batched, k
+
+
+def _runs_of(forest):
+    """A forest's (starts, table) with neighbouring runs of one label joined."""
+    starts, table = forest._runs
+    n = len(forest._ws)
+    lbl = [g for g, a, b in zip(table, [0, *starts], [*starts, n]) for _ in range(b - a)]
+    starts = [p for p in range(1, n) if lbl[p] != lbl[p - 1]]
+    return starts, [lbl[0], *(lbl[p] for p in starts)]
+
+
+def _batched_cases():
+    """2**16 log-uniform, uniform [1, 2**30] and 1-6 weights at k in
+    {1, 2, 16, 2**10, n - 1, n, n + 3}."""
+    rng = random.Random("solver:batched")
+    n = 1 << 16
+    draws = (
+        lambda: min(MAX_WEIGHT, int(2.0 ** rng.uniform(0.0, 40.0))),
+        lambda: rng.randint(1, 1 << 30),
+        lambda: rng.randint(1, 6),
+    )
+    for draw in draws:
+        ws = [draw() for _ in range(n)]
+        for k in (1, 2, 16, 1 << 10, n - 1, n, n + 3):
+            yield ws, k
+
+
+@pytest.mark.parametrize("corpus", ["tie_heavy", "forest", "batched"])
+def test_batched_route_matches_the_loop(monkeypatch, corpus):
+    # the batched merge and its label runs, against _merge's loop and the
+    # runs read off the label of every leaf
+    cases = {"tie_heavy": _tie_heavy_cases, "forest": _forest_cases, "batched": _batched_cases}
+    for ws, k in cases[corpus]():
+        inst = Instance(tuple(ws))
+        forests = []
+        for route in ("batched", "loop"):
+            _route(monkeypatch, route)
+            forests.append(huffman._stopped_merge(inst, k))
+        batched, loop = forests
+        b, lp = batched.trace, loop.trace
+        assert b._merged[b._m0 :] == lp._merged[lp._m0 :], (len(ws), k)
+        assert (b._i, b._j - b._m0) == (lp._i, lp._j - lp._m0), (len(ws), k)
+        # the batched route joins neighbouring runs of one label itself
+        assert batched._runs == _runs_of(batched) == _runs_of(loop), (len(ws), k)
+        assert loop._leaf_runs() == batched._runs, (len(ws), k)
+        assert b.steps == lp.steps, (len(ws), k)
+        if corpus == "batched":
+            assert batched.partition() == loop.partition(), (len(ws), k)
+        else:
+            assignment, steps = _reference_stopped_huffman(ws, k)
+            assert batched.partition().assignment == assignment, (ws, k)
+            assert b.steps == steps, (ws, k)
+
+
+def _fibonacci_up_to(top):
+    fib = [1, 1]
+    while fib[-1] + fib[-2] <= top:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [[1] + [1 << e for e in range(41)], _fibonacci_up_to(1 << 40)],
+    ids=["powers_of_two", "fibonacci"],
+)
+def test_batch_count_stays_within_the_doubling_bound(ws):
+    # on a doubling chain only one value lies below twice the smallest, or
+    # two that merge, so every batch is a single merge
+    rng = random.Random("solver:doubling")
+    for order in (sorted(ws), rng.sample(ws, len(ws))):
+        for k in (1, 2, 5):
+            leaves = sorted(order)
+            merged, i, j, batches = huffman._batched_merge(leaves, len(leaves) - k)
+            bound = 2 * math.ceil(math.log2(sum(ws) / min(ws))) + 2
+            assert len(batches) == len(merged) == len(ws) - k <= bound
+            assert [t for t, _, _, _ in batches] == list(range(len(merged)))
+            _check_against_reference(order, k)
+    # the batch count of 2**16 weights stays within its bound too
+    for ws, k in _batched_cases():
+        leaves = sorted(ws)
+        batches = huffman._batched_merge(leaves, len(ws) - k)[3]
+        assert len(batches) <= 2 * math.ceil(math.log2(sum(ws) / leaves[0])) + 2
 
 
 def test_label_routes_match_argsort_reference_either_side_of_threshold():
@@ -325,18 +445,21 @@ def _forest_cases():
 @pytest.mark.parametrize("max_runs", [huffman._MAX_LABEL_RUNS, 1], ids=["bisect", "argsort"])
 def test_forest_groups_equal_the_partitions(monkeypatch, max_runs):
     # sums, sizes and canonical order, read off the merge forest without a
-    # label per element, equal subset_sums and the counts of the partition
+    # label per element, equal subset_sums and the counts of the partition,
+    # on either merge route
     monkeypatch.setattr(huffman, "_MAX_LABEL_RUNS", max_runs)
-    for ws, k in _forest_cases():
-        inst = Instance(tuple(ws))
-        part, _ = stopped_huffman(inst, k)
-        counts = Counter(part.assignment)
-        sizes = tuple(counts[g] for g in range(k))
-        forest = huffman._stopped_merge(inst, k)
-        assert forest.smallest() == min(sizes), (len(ws), k)
-        assert forest.sums() == subset_sums(inst, part).sums, (len(ws), k)
-        assert forest.sizes() == sizes, (len(ws), k)
-        assert forest.partition() == part
+    for route in ("batched", "loop"):
+        _route(monkeypatch, route)
+        for ws, k in _forest_cases():
+            inst = Instance(tuple(ws))
+            part, _ = stopped_huffman(inst, k)
+            counts = Counter(part.assignment)
+            sizes = tuple(counts[g] for g in range(k))
+            forest = huffman._stopped_merge(inst, k)
+            assert forest.smallest() == min(sizes), (route, len(ws), k)
+            assert forest.sums() == subset_sums(inst, part).sums, (route, len(ws), k)
+            assert forest.sizes() == sizes, (route, len(ws), k)
+            assert forest.partition() == part
 
 
 @settings(max_examples=60)
